@@ -13,12 +13,12 @@ from .errors import (ConfigError, ContractError, CorruptionError, DataError,
                      VocabularyError)
 from .experiments import subsample_score_stability
 from .fixtures import FixtureSpec, build_model, build_vocab, make_fixture
-from .model import (AttentionHead, EncoderLayer, Model, ModelConfig, build_gates,
+from .model import (Attention, EncoderLayer, Model, ModelConfig, build_gates,
                     count_parameters, count_parameters_from_config, encoder_forward,
                     lm_forward, named_tensors, remove_ffn_neurons, remove_heads,
                     remove_vocab_rows, task_forward)
-from .scoring import (Adaptor, LossSpec, ScoreTable, compute_scores, cross_entropy,
-                      kl_loss)
+from .scoring import (LossSpec, ScoreTable, compute_scores, cross_entropy, kl_loss,
+                      reference_logits)
 from .tensor import Tape, Tensor, backward
 from .vocab import (SPECIAL_TOKENS, Vocabulary, count_corpus_tokens, reindex,
                     tokenize)

@@ -8,7 +8,7 @@ A model directory holds three files:
 
 Round trips are bit-exact. Loading validates the manifest against both the
 config-derived expected shapes and the actual file size, naming the first
-offending tensor.
+offending tensor, and reads each tensor straight into the model's arrays.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, CorruptionError
-from .model import Model, ModelConfig, assemble_model, expected_tensor_shapes, named_tensors
+from .model import Model, ModelConfig, checkpoint_views, empty_model
 
 CONFIG_FILE = "config.json"
 WEIGHTS_FILE = "weights.bin"
@@ -36,12 +37,12 @@ def save_model(model: Model, directory: str | Path) -> None:
     entries = []
     offset = 0
     with open(directory / WEIGHTS_FILE, "wb") as fh:
-        for name, tensor in named_tensors(model):
-            raw = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
+        for name, view in checkpoint_views(model):
+            raw = np.ascontiguousarray(view, dtype="<f8")
             fh.write(raw)
-            entries.append({"name": name, "shape": list(tensor.shape),
-                            "offset": offset, "length": len(raw)})
-            offset += len(raw)
+            entries.append({"name": name, "shape": list(view.shape),
+                            "offset": offset, "length": raw.nbytes})
+            offset += raw.nbytes
     (directory / MANIFEST_FILE).write_text(
         json.dumps({"tensors": entries}, indent=2) + "\n")
     (directory / CONFIG_FILE).write_text(
@@ -64,32 +65,32 @@ def load_model(directory: str | Path, requires_grad: bool = True) -> Model:
     if not isinstance(entries, list):
         raise CorruptionError("manifest.json has no tensor list")
 
-    expected = expected_tensor_shapes(cfg)
-    if len(entries) != len(expected):
+    model = empty_model(cfg, requires_grad)
+    views = list(checkpoint_views(model))
+    if len(entries) != len(views):
         raise CorruptionError(
-            f"manifest lists {len(entries)} tensors, config implies {len(expected)}")
-
-    buf = (directory / WEIGHTS_FILE).read_bytes()
-    arrays: dict[str, np.ndarray] = {}
+            f"manifest lists {len(entries)} tensors, config implies {len(views)}")
     offset = 0
-    for entry, (name, shape) in zip(entries, expected):
+    for entry, (name, view) in zip(entries, views):
         if entry.get("name") != name:
             raise CorruptionError(f"manifest tensor {entry.get('name')!r} where {name!r} expected")
-        if tuple(entry.get("shape", ())) != shape:
+        if tuple(entry.get("shape", ())) != view.shape:
             raise CorruptionError(
-                f"tensor {name}: manifest shape {entry.get('shape')} does not match expected {list(shape)}")
-        length = int(np.prod(shape, dtype=np.int64)) * 8
-        if entry.get("offset") != offset or entry.get("length") != length:
+                f"tensor {name}: manifest shape {entry.get('shape')} does not match expected {list(view.shape)}")
+        if entry.get("offset") != offset or entry.get("length") != view.nbytes:
             raise CorruptionError(f"tensor {name}: bad offset/length in manifest")
-        if offset + length > len(buf):
-            raise CorruptionError(f"weights.bin truncated at tensor {name}")
-        arrays[name] = np.frombuffer(buf, dtype="<f8", count=length // 8,
-                                     offset=offset).reshape(shape).copy()
-        offset += length
-    if offset != len(buf):
-        raise CorruptionError(
-            f"weights.bin holds {len(buf)} bytes, manifest accounts for {offset}")
-    return assemble_model(cfg, arrays, requires_grad=requires_grad)
+        offset += view.nbytes
+
+    with open(directory / WEIGHTS_FILE, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > offset:
+            raise CorruptionError(f"weights.bin holds {size} bytes, manifest accounts for {offset}")
+        for name, view in views:
+            if fh.readinto(view) != view.nbytes:
+                raise CorruptionError(f"weights.bin truncated at tensor {name}")
+            if sys.byteorder != "little":
+                view.byteswap(inplace=True)
+    return model
 
 
 @contextmanager

@@ -146,7 +146,6 @@ def _general_config(args) -> GeneralConfig:
     cfg = load_config(args.general_config, "general") if args.general_config else GeneralConfig()
     if args.output_dir:
         cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
-    cfg.ensure_runnable()
     return cfg
 
 

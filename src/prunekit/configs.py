@@ -17,7 +17,7 @@ from .errors import ConfigError
 
 PRUNING_METHODS = ("iterative", "mask")
 GRANULARITIES = ("batch", "example")
-DEVICES = ("cpu", "cuda")
+DEVICES = ("cpu",)
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class GeneralConfig:
             raise ConfigError(f"device must be one of {DEVICES}, got {self.device!r}")
         if not self.output_dir:
             raise ConfigError("output_dir must not be empty")
-
-    def ensure_runnable(self) -> None:
-        """Reject configurations this build cannot execute."""
-        if self.device != "cpu":
-            raise ConfigError(f"device {self.device!r} is not supported by this build; use \"cpu\"")
 
 
 @dataclass(frozen=True)

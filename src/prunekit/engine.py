@@ -26,8 +26,7 @@ from .data import Dataset
 from .errors import ConfigError, ContractError, ShapeError
 from .model import (Model, count_parameters, remove_ffn_neurons, remove_heads,
                     remove_vocab_rows)
-from .scoring import (CROSS_ENTROPY, KL_DIVERGENCE, Adaptor, LossSpec, ScoreTable,
-                      compute_scores)
+from .scoring import KL_DIVERGENCE, LossSpec, ScoreTable, compute_scores, reference_logits
 from .vocab import Vocabulary, count_corpus_tokens, reindex
 
 ProgressFn = Callable[[int, int, int, int], None]
@@ -279,7 +278,6 @@ def transformer_prune(model: Model, dataset: Dataset | None,
                       loss_spec: LossSpec | None = None,
                       mask: PruningMask | None = None,
                       threads: int = 1,
-                      adaptor: Adaptor | None = None,
                       progress: ProgressFn | None = None) -> PruneReport:
     """Prune heads and FFN neurons to the configured targets.
 
@@ -291,7 +289,6 @@ def transformer_prune(model: Model, dataset: Dataset | None,
     initial = count_parameters(model)
     orig_heads = list(model.config.num_heads)
     orig_ffn = list(model.config.ffn_size)
-    adaptor = adaptor or Adaptor()
     iterations: list[dict] = []
     last_scores: ScoreTable | None = None
 
@@ -316,8 +313,7 @@ def transformer_prune(model: Model, dataset: Dataset | None,
         if loss_spec is None:
             loss_spec = LossSpec.self_supervised() if cfg.use_logits else LossSpec.supervised()
         if loss_spec.kind == KL_DIVERGENCE and loss_spec.reference_logits is None:
-            reference = [adaptor.logits(model, b.token_ids).data for b in dataset]
-            loss_spec = LossSpec.self_supervised(reference)
+            loss_spec = LossSpec.self_supervised(reference_logits(model, dataset))
 
         head_sched = _quota_schedules(cfg, orig_heads, "head")
         ffn_sched = _quota_schedules(cfg, orig_ffn, "ffn")
@@ -334,7 +330,7 @@ def transformer_prune(model: Model, dataset: Dataset | None,
                 continue
             last_scores = compute_scores(model, dataset, loss_spec,
                                          granularity=cfg.score_granularity,
-                                         threads=threads, adaptor=adaptor)
+                                         threads=threads)
             new_mask = select_targets(last_scores, cur_mask, qh, qf, cfg)
             heads_dropped, ffn_dropped = _apply_mask_delta(model, cur_mask, new_mask)
             iterations.append({"iteration": t + 1,
@@ -418,16 +414,13 @@ def pipeline_prune(model: Model, vocab: Vocabulary, corpus_path: str | Path,
                    loss_spec: LossSpec | None = None,
                    mask: PruningMask | None = None,
                    threads: int = 1,
-                   adaptor: Adaptor | None = None,
                    progress: ProgressFn | None = None,
                    pre_tokenized: bool = False,
                    save: bool = True) -> tuple[Model, Vocabulary, PruneReport]:
     """Transformer pruning followed by vocabulary pruning, then save outputs."""
-    general_cfg.ensure_runnable()
     start = time.perf_counter()
     report = transformer_prune(model, dataset, trm_cfg, loss_spec=loss_spec,
-                               mask=mask, threads=threads, adaptor=adaptor,
-                               progress=progress)
+                               mask=mask, threads=threads, progress=progress)
     model, vocab, vocab_report = vocabulary_prune(model, vocab, corpus_path, vocab_cfg,
                                                   pre_tokenized=pre_tokenized)
     report.vocabulary = vocab_report

@@ -10,7 +10,7 @@ from scipy.stats import spearmanr
 from .data import load_dataset
 from .errors import ContractError
 from .model import Model
-from .scoring import Adaptor, LossSpec, compute_scores
+from .scoring import LossSpec, compute_scores
 from .vocab import Vocabulary
 
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -25,8 +25,7 @@ def subsample_score_stability(model: Model, vocab: Vocabulary,
                               seed: int = 0,
                               loss_spec: LossSpec | None = None,
                               granularity: str = "batch",
-                              threads: int = 1,
-                              adaptor: Adaptor | None = None) -> dict:
+                              threads: int = 1) -> dict:
     """Score on seeded subsamples and rank-correlate each against the full run.
 
     Returns a JSON-ready report: per fraction, the example count and the
@@ -41,14 +40,14 @@ def subsample_score_stability(model: Model, vocab: Vocabulary,
     full_ds = load_dataset(dataset_path, vocab, batch_size=batch_size,
                            max_len=max_len, labeled=labeled, subsample=1.0, seed=seed)
     full = compute_scores(model, full_ds, loss_spec, granularity=granularity,
-                          threads=threads, adaptor=adaptor).flattened()
+                          threads=threads).flattened()
 
     num_examples, correlations = [], []
     for frac in fractions:
         ds = load_dataset(dataset_path, vocab, batch_size=batch_size,
                           max_len=max_len, labeled=labeled, subsample=frac, seed=seed)
         table = compute_scores(model, ds, loss_spec, granularity=granularity,
-                               threads=threads, adaptor=adaptor)
+                               threads=threads)
         num_examples.append(ds.num_examples)
         if frac == 1.0:
             correlations.append(1.0 if np.array_equal(table.flattened(), full) else

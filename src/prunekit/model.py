@@ -3,14 +3,23 @@
 Structure of one layer, with per-layer head and FFN widths that may differ
 after pruning:
 
-    X <- LayerNorm(X + sum_i g_i * Att_i(X))     post-norm residual MHA
+    X <- LayerNorm(X + sum_h g_h * Att_h(X))     post-norm residual MHA
     X <- LayerNorm(X + FFN(X))                   post-norm residual FFN
 
-Each attention head owns its full Q/K/V/O projections including a per-head
-output bias, so gating a head by 0 is exactly equivalent to removing it.
+A layer's H heads live in one Attention block whose tensors are stacked
+head-major: rows h*head_size .. (h+1)*head_size - 1 of wq/wk/wv/wo and
+bq/bk/bv, and row h of the (H, hidden) output bias bo, belong to head h.
+Each head thus owns its full Q/K/V/O projections including an output bias,
+so gating a head by 0 is exactly equivalent to removing it, and removing
+heads is one row selection per tensor. The forward runs all heads at once:
+three projection matmuls, a split into (batch, H, seq, head_size), one
+batched attention core, and the gated output merge(ctx * g) @ wo + g @ bo.
 The FFN gate is a vector applied to the post-GeLU activations, so zeroing
 entry i is exactly equivalent to deleting neuron i (column i of W1, row i
 of W2, element i of b1).
+
+Checkpoints keep one entry per head and field, layers.{l}.heads.{h}.{f};
+checkpoint_views maps those names onto slices of the stacked tensors.
 
 Attention scores are scaled by 1/sqrt(hidden_size); head width head_size
 is fixed at construction and never changes under pruning.
@@ -27,7 +36,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, InvalidIndexError, ShapeError, VocabularyError
 from .tensor import (Tape, Tensor, add, embedding_lookup, gelu, layer_norm, matmul,
-                     matmul_t, mul, scale, select_first, softmax_rows)
+                     matmul_t, merge_heads, mul, scale, select_first, softmax_rows,
+                     split_heads, stack)
 
 
 @dataclass
@@ -100,21 +110,29 @@ class ModelConfig:
         return cls(**d)
 
 
+_HEAD_FIELDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
 @dataclass
-class AttentionHead:
-    wq: Tensor  # (head_size, hidden)
-    bq: Tensor  # (head_size,)
+class Attention:
+    """All attention heads of one layer, stacked head-major."""
+
+    wq: Tensor  # (H * head_size, hidden)
+    bq: Tensor  # (H * head_size,)
     wk: Tensor
     bk: Tensor
     wv: Tensor
     bv: Tensor
-    wo: Tensor  # (head_size, hidden)
-    bo: Tensor  # (hidden,)
+    wo: Tensor  # (H * head_size, hidden)
+    bo: Tensor  # (H, hidden)
+
+    def __len__(self) -> int:
+        return self.bo.shape[0]
 
 
 @dataclass
 class EncoderLayer:
-    heads: list[AttentionHead]
+    heads: Attention
     w1: Tensor  # (hidden, ffn)
     b1: Tensor  # (ffn,)
     w2: Tensor  # (ffn, hidden)
@@ -140,58 +158,20 @@ class Model:
         return copy.deepcopy(self)
 
 
-_HEAD_FIELDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+# per-layer tensors besides attention: (name suffix, EncoderLayer attribute)
+_LAYER_TENSORS = (("ffn.w1", "w1"), ("ffn.b1", "b1"), ("ffn.w2", "w2"), ("ffn.b2", "b2"),
+                  ("ln1.gain", "ln1_gain"), ("ln1.bias", "ln1_bias"),
+                  ("ln2.gain", "ln2_gain"), ("ln2.bias", "ln2_bias"))
 
 
-def expected_tensor_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Canonical (name, shape) list defining storage order for checkpoints."""
-    d, dh = cfg.hidden_size, cfg.head_size
-    out: list[tuple[str, tuple[int, ...]]] = [
-        ("embedding", (cfg.vocab_size, d)),
-        ("position_embedding", (cfg.max_seq_len, d)),
-    ]
-    for l in range(cfg.num_layers):
-        for h in range(cfg.num_heads[l]):
-            for f in _HEAD_FIELDS:
-                shape = (dh, d) if f in ("wq", "wk", "wv", "wo") else \
-                        (d,) if f == "bo" else (dh,)
-                out.append((f"layers.{l}.heads.{h}.{f}", shape))
-        f_l = cfg.ffn_size[l]
-        out.extend([
-            (f"layers.{l}.ffn.w1", (d, f_l)),
-            (f"layers.{l}.ffn.b1", (f_l,)),
-            (f"layers.{l}.ffn.w2", (f_l, d)),
-            (f"layers.{l}.ffn.b2", (d,)),
-            (f"layers.{l}.ln1.gain", (d,)),
-            (f"layers.{l}.ln1.bias", (d,)),
-            (f"layers.{l}.ln2.gain", (d,)),
-            (f"layers.{l}.ln2.bias", (d,)),
-        ])
-    out.append(("classifier.weight", (d, cfg.num_labels)))
-    out.append(("classifier.bias", (cfg.num_labels,)))
-    if cfg.has_lm_head:
-        if not cfg.lm_head_tied:
-            out.append(("lm_head.weight", (cfg.lm_vocab_size, d)))
-        out.append(("lm_head.bias", (cfg.lm_vocab_size,)))
-    return out
-
-
-def named_tensors(model: Model) -> Iterator[tuple[str, Tensor]]:
-    """Stored tensors in canonical order; a tied LM head is not stored."""
+def _parts(model: Model) -> Iterator[tuple[str, Tensor | Attention]]:
+    """Stored parts in canonical order; a tied LM head is not stored."""
     yield "embedding", model.embedding
     yield "position_embedding", model.position_embedding
     for l, layer in enumerate(model.layers):
-        for h, head in enumerate(layer.heads):
-            for f in _HEAD_FIELDS:
-                yield f"layers.{l}.heads.{h}.{f}", getattr(head, f)
-        yield f"layers.{l}.ffn.w1", layer.w1
-        yield f"layers.{l}.ffn.b1", layer.b1
-        yield f"layers.{l}.ffn.w2", layer.w2
-        yield f"layers.{l}.ffn.b2", layer.b2
-        yield f"layers.{l}.ln1.gain", layer.ln1_gain
-        yield f"layers.{l}.ln1.bias", layer.ln1_bias
-        yield f"layers.{l}.ln2.gain", layer.ln2_gain
-        yield f"layers.{l}.ln2.bias", layer.ln2_bias
+        yield f"layers.{l}.heads", layer.heads
+        for suffix, attr in _LAYER_TENSORS:
+            yield f"layers.{l}.{suffix}", getattr(layer, attr)
     yield "classifier.weight", model.classifier_w
     yield "classifier.bias", model.classifier_b
     if model.config.has_lm_head:
@@ -200,45 +180,80 @@ def named_tensors(model: Model) -> Iterator[tuple[str, Tensor]]:
         yield "lm_head.bias", model.lm_bias
 
 
-def assemble_model(cfg: ModelConfig, arrays: dict[str, np.ndarray],
-                   requires_grad: bool = True) -> Model:
-    """Build a Model from a complete name->array mapping in canonical shapes."""
-    expected = expected_tensor_shapes(cfg)
-    missing = [n for n, _ in expected if n not in arrays]
-    if missing:
-        raise ContractError(f"missing tensors: {missing[:4]}{'...' if len(missing) > 4 else ''}")
-    tensors: dict[str, Tensor] = {}
-    for name, shape in expected:
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise ShapeError(f"tensor {name} has shape {arr.shape}, expected {shape}")
-        tensors[name] = Tensor(arr, requires_grad=requires_grad)
+def named_tensors(model: Model) -> Iterator[tuple[str, Tensor]]:
+    """Stored tensors in canonical order, attention as layers.{l}.heads.{field}."""
+    for name, part in _parts(model):
+        if isinstance(part, Attention):
+            for f in _HEAD_FIELDS:
+                yield f"{name}.{f}", getattr(part, f)
+        else:
+            yield name, part
+
+
+def checkpoint_views(model: Model) -> Iterator[tuple[str, np.ndarray]]:
+    """Writable views of the stored arrays under their checkpoint names, in storage order.
+
+    Attention is stored head by head as layers.{l}.heads.{h}.{field}; each
+    entry is a slice of the stacked tensor. Reading a checkpoint into these
+    views, or writing one from them, moves every byte once with no copy.
+    """
+    dh = model.config.head_size
+    for name, part in _parts(model):
+        if not isinstance(part, Attention):
+            yield name, part.data
+            continue
+        for h in range(len(part)):
+            for f in _HEAD_FIELDS:
+                data = getattr(part, f).data
+                yield f"{name}.{h}.{f}", data[h] if f == "bo" else data[h * dh:(h + 1) * dh]
+
+
+def expected_tensor_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Canonical (name, shape) list defining storage order for checkpoints."""
+    return [(name, view.shape) for name, view in checkpoint_views(empty_model(cfg))]
+
+
+def empty_model(cfg: ModelConfig, requires_grad: bool = True) -> Model:
+    """A model of the config's shapes whose weights are not yet initialised."""
+    d, dh = cfg.hidden_size, cfg.head_size
+
+    def t(*shape: int) -> Tensor:
+        return Tensor(np.empty(shape), requires_grad=requires_grad)
 
     layers = []
-    for l in range(cfg.num_layers):
-        heads = [AttentionHead(*(tensors[f"layers.{l}.heads.{h}.{f}"] for f in _HEAD_FIELDS))
-                 for h in range(cfg.num_heads[l])]
-        layers.append(EncoderLayer(
-            heads=heads,
-            w1=tensors[f"layers.{l}.ffn.w1"], b1=tensors[f"layers.{l}.ffn.b1"],
-            w2=tensors[f"layers.{l}.ffn.w2"], b2=tensors[f"layers.{l}.ffn.b2"],
-            ln1_gain=tensors[f"layers.{l}.ln1.gain"], ln1_bias=tensors[f"layers.{l}.ln1.bias"],
-            ln2_gain=tensors[f"layers.{l}.ln2.gain"], ln2_bias=tensors[f"layers.{l}.ln2.bias"]))
-    return Model(
-        config=cfg,
-        embedding=tensors["embedding"],
-        position_embedding=tensors["position_embedding"],
-        layers=layers,
-        classifier_w=tensors["classifier.weight"],
-        classifier_b=tensors["classifier.bias"],
-        lm_head=tensors.get("lm_head.weight"),
-        lm_bias=tensors.get("lm_head.bias"),
-    )
+    for H, f in zip(cfg.num_heads, cfg.ffn_size):
+        w, b = (H * dh, d), (H * dh,)
+        heads = Attention(wq=t(*w), bq=t(*b), wk=t(*w), bk=t(*b), wv=t(*w), bv=t(*b),
+                          wo=t(*w), bo=t(H, d))
+        layers.append(EncoderLayer(heads, w1=t(d, f), b1=t(f), w2=t(f, d), b2=t(d),
+                                   ln1_gain=t(d), ln1_bias=t(d), ln2_gain=t(d), ln2_bias=t(d)))
+    lm = cfg.has_lm_head
+    return Model(config=cfg, embedding=t(cfg.vocab_size, d),
+                 position_embedding=t(cfg.max_seq_len, d), layers=layers,
+                 classifier_w=t(d, cfg.num_labels), classifier_b=t(cfg.num_labels),
+                 lm_head=t(cfg.lm_vocab_size, d) if lm and not cfg.lm_head_tied else None,
+                 lm_bias=t(cfg.lm_vocab_size) if lm else None)
+
+
+def assemble_model(cfg: ModelConfig, arrays: dict[str, np.ndarray],
+                   requires_grad: bool = True) -> Model:
+    """Build a Model from a complete checkpoint-name->array mapping in canonical shapes."""
+    model = empty_model(cfg, requires_grad)
+    views = list(checkpoint_views(model))
+    missing = [n for n, _ in views if n not in arrays]
+    if missing:
+        raise ContractError(f"missing tensors: {missing[:4]}{'...' if len(missing) > 4 else ''}")
+    for name, view in views:
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        if arr.shape != view.shape:
+            raise ShapeError(f"tensor {name} has shape {arr.shape}, expected {view.shape}")
+        view[...] = arr
+    return model
 
 
 def build_gates(model: Model, requires_grad: bool = False) -> tuple[list[list[Tensor]], list[Tensor]]:
     """All-ones gates matching the model's current widths (neutral element)."""
-    head_gates = [[Tensor(1.0, requires_grad=requires_grad) for _ in layer.heads]
+    head_gates = [[Tensor(1.0, requires_grad=requires_grad) for _ in range(len(layer.heads))]
                   for layer in model.layers]
     ffn_gates = [Tensor(np.ones(layer.b1.shape[0]), requires_grad=requires_grad)
                  for layer in model.layers]
@@ -286,29 +301,29 @@ def encoder_forward(model: Model, token_ids: np.ndarray,
                     head_gates: Sequence[Sequence[Tensor]] | None = None,
                     ffn_gates: Sequence[Tensor] | None = None,
                     tape: Tape | None = None) -> Tensor:
-    """Run the encoder stack; returns hidden states of shape (batch, seq, hidden)."""
+    """Run the encoder stack; returns hidden states of shape (batch, seq, hidden).
+
+    Missing head gates mean all-ones gates; missing FFN gates mean no gating.
+    """
     ids = _check_token_ids(model, token_ids)
     _check_gates(model, head_gates, ffn_gates)
-    n = ids.shape[1]
+    if head_gates is None:
+        head_gates = build_gates(model)[0]
+    n, dh = ids.shape[1], model.config.head_size
     inv_sqrt_d = 1.0 / math.sqrt(model.config.hidden_size)
 
     x = add(embedding_lookup(model.embedding, ids, tape),
             embedding_lookup(model.position_embedding, np.arange(n), tape), tape)
     for l, layer in enumerate(model.layers):
-        if layer.heads:
-            att_sum = None
-            for h, head in enumerate(layer.heads):
-                q = add(matmul_t(x, head.wq, tape), head.bq, tape)
-                k = add(matmul_t(x, head.wk, tape), head.bk, tape)
-                v = add(matmul_t(x, head.wv, tape), head.bv, tape)
-                att = softmax_rows(scale(matmul_t(q, k, tape), inv_sqrt_d, tape), tape)
-                out = add(matmul(matmul(att, v, tape), head.wo, tape), head.bo, tape)
-                if head_gates is not None:
-                    out = mul(out, head_gates[l][h], tape)
-                att_sum = out if att_sum is None else add(att_sum, out, tape)
-            x = layer_norm(add(x, att_sum, tape), layer.ln1_gain, layer.ln1_bias, tape)
-        else:
-            x = layer_norm(x, layer.ln1_gain, layer.ln1_bias, tape)
+        att, H = layer.heads, len(layer.heads)
+        q = split_heads(add(matmul_t(x, att.wq, tape), att.bq, tape), dh, tape)
+        k = split_heads(add(matmul_t(x, att.wk, tape), att.bk, tape), dh, tape)
+        v = split_heads(add(matmul_t(x, att.wv, tape), att.bv, tape), dh, tape)
+        probs = softmax_rows(scale(matmul_t(q, k, tape), inv_sqrt_d, tape), tape)
+        ctx = mul(matmul(probs, v, tape), stack(head_gates[l], (H, 1, 1), tape), tape)
+        att_out = add(matmul(merge_heads(ctx, tape), att.wo, tape),
+                      matmul(stack(head_gates[l], (1, H), tape), att.bo, tape), tape)
+        x = layer_norm(add(x, att_out, tape), layer.ln1_gain, layer.ln1_bias, tape)
 
         hidden = gelu(add(matmul(x, layer.w1, tape), layer.b1, tape), tape)
         if ffn_gates is not None:
@@ -348,14 +363,18 @@ def _check_unit_indices(indices, width: int, what: str) -> list[int]:
 
 
 def remove_heads(model: Model, layer_index: int, head_indices) -> None:
-    """Delete whole attention heads from one layer (all eight tensors each)."""
+    """Delete whole attention heads from one layer: one row selection per tensor."""
     if not 0 <= layer_index < len(model.layers):
         raise InvalidIndexError(f"layer index {layer_index} out of range")
-    layer = model.layers[layer_index]
-    idx = _check_unit_indices(head_indices, len(layer.heads), "head")
-    for i in sorted(idx, reverse=True):
-        del layer.heads[i]
-    model.config.num_heads[layer_index] = len(layer.heads)
+    att = model.layers[layer_index].heads
+    idx = _check_unit_indices(head_indices, len(att), "head")
+    kept = np.setdiff1d(np.arange(len(att)), np.asarray(idx, dtype=np.int64))
+    dh = model.config.head_size
+    rows = (kept[:, None] * dh + np.arange(dh)).reshape(-1)
+    for f in _HEAD_FIELDS:
+        t = getattr(att, f)
+        setattr(att, f, Tensor(t.data[kept if f == "bo" else rows], requires_grad=t.requires_grad))
+    model.config.num_heads[layer_index] = int(kept.size)
 
 
 def remove_ffn_neurons(model: Model, layer_index: int, neuron_indices) -> None:

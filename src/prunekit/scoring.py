@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,21 +27,6 @@ from .tensor import (Tape, Tensor, add, backward, log_softmax_rows, mul, scale,
 
 CROSS_ENTROPY = "cross_entropy"
 KL_DIVERGENCE = "kl_divergence"
-
-
-@dataclass(frozen=True)
-class Adaptor:
-    """Resolves which logits the loss consumes; task_head is the only source."""
-
-    logits_source: str = "task_head"
-
-    def __post_init__(self):
-        if self.logits_source != "task_head":
-            raise ConfigError(f"unknown logits source {self.logits_source!r}")
-
-    def logits(self, model: Model, token_ids, head_gates=None, ffn_gates=None,
-               tape: Tape | None = None) -> Tensor:
-        return task_forward(model, token_ids, head_gates, ffn_gates, tape)
 
 
 @dataclass
@@ -143,12 +128,17 @@ def _frozen_weights(model: Model):
             t.requires_grad = rg
 
 
-def _unit_scores(model: Model, adaptor: Adaptor, spec: LossSpec, token_ids,
+def reference_logits(model: Model, dataset: Dataset) -> list[np.ndarray]:
+    """Untaped task logits of every batch: the fixed target of KL scoring."""
+    return [task_forward(model, b.token_ids).data for b in dataset]
+
+
+def _unit_scores(model: Model, spec: LossSpec, token_ids,
                  labels, reference: np.ndarray | None,
                  unit_label: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
     head_gates, ffn_gates = build_gates(model, requires_grad=True)
     tape = Tape()
-    logits = adaptor.logits(model, token_ids, head_gates, ffn_gates, tape)
+    logits = task_forward(model, token_ids, head_gates, ffn_gates, tape)
     if spec.kind == CROSS_ENTROPY:
         loss = cross_entropy(logits, labels, tape)
     else:
@@ -167,8 +157,7 @@ def _unit_scores(model: Model, adaptor: Adaptor, spec: LossSpec, token_ids,
 
 
 def compute_scores(model: Model, dataset: Dataset, loss_spec: LossSpec,
-                   granularity: str = "batch", threads: int = 1,
-                   adaptor: Adaptor | None = None) -> ScoreTable:
+                   granularity: str = "batch", threads: int = 1) -> ScoreTable:
     """Importance scores averaged over batches (or single examples).
 
     Scores are |dL/dgate| per unit, averaged over scoring units. With
@@ -182,14 +171,13 @@ def compute_scores(model: Model, dataset: Dataset, loss_spec: LossSpec,
         raise ContractError(f"threads must be >= 1, got {threads}")
     if dataset is None or len(dataset) == 0:
         raise ContractError("scoring requires a non-empty dataset")
-    adaptor = adaptor or Adaptor()
     if loss_spec.kind == CROSS_ENTROPY and not dataset.labeled:
         raise ContractError("cross-entropy scoring requires a labeled dataset")
 
     references: list[np.ndarray | None] = [None] * len(dataset)
     if loss_spec.kind == KL_DIVERGENCE:
         if loss_spec.reference_logits is None:
-            references = [adaptor.logits(model, b.token_ids).data for b in dataset]
+            references = reference_logits(model, dataset)
         else:
             if len(loss_spec.reference_logits) != len(dataset):
                 raise ContractError(
@@ -211,7 +199,7 @@ def compute_scores(model: Model, dataset: Dataset, loss_spec: LossSpec,
     with _frozen_weights(model):
         def run(unit):
             ids, labels, ref, label = unit
-            return _unit_scores(model, adaptor, loss_spec, ids, labels, ref, label)
+            return _unit_scores(model, loss_spec, ids, labels, ref, label)
 
         if threads == 1:
             results = [run(u) for u in units]

@@ -4,8 +4,8 @@ Every differentiable operation takes an optional Tape. With tape=None the
 op just computes numpy results (inference mode, zero bookkeeping). With a
 tape, ops whose inputs require gradients append a backward closure; calling
 backward(tape, loss) replays the closures in reverse execution order and
-accumulates gradients additively into Tensor.grad. The caller is
-responsible for zeroing grads between backward passes.
+accumulates gradients additively into Tensor.grad. The caller resets
+grads (grad = None) between backward passes.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -69,13 +66,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def clear_grads(self) -> None:
-        """Zero every gradient this tape has touched (outputs and inputs)."""
-        for rec in self._records:
-            rec.out.grad = None
-            for t in rec.inputs:
-                t.grad = None
-
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(input) into every recorded input's .grad."""
@@ -99,8 +89,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def _tracks(tape: Tape | None, *inputs: Tensor) -> bool:
-    return tape is not None and any(t.requires_grad for t in inputs)
+def _record(tape: Tape | None, out: Tensor, inputs: Sequence[Tensor],
+            fn: Callable[[np.ndarray], None]) -> Tensor:
+    """Log fn as out's backward when there is a tape and an input needs gradients."""
+    if tape is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        tape.record(out, inputs, fn)
+    return out
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -114,56 +109,59 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _check_matmul(op: str, ad: np.ndarray, bd: np.ndarray, b_inner: int) -> None:
+    if ad.ndim not in (2, 3, 4) or bd.ndim not in (2, ad.ndim):
+        raise ShapeError(f"unsupported {op} ranks {ad.shape}, {bd.shape}")
+    if ad.shape[-1] != bd.shape[b_inner]:
+        raise ShapeError(f"{op} inner dims differ: {ad.shape}, {bd.shape}")
+    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"{op} batch dims differ: {ad.shape}, {bd.shape}")
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """View x as a matrix with one row per index of its leading axes."""
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+
+
+def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w; against a shared 2D w, all leading axes of x go through one GEMM."""
+    if w.ndim == 2 and x.ndim > 2:
+        return (_rows(x) @ w).reshape(*x.shape[:-1], w.shape[-1])
+    return x @ w
+
+
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """a @ b for 2D@2D, 3D@2D (shared rhs) and 3D@3D (batched) operands."""
+    """a @ b: a of rank 2-4 against a shared 2D b or a b batched like a."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (2, 3) or bd.ndim not in (2, 3) or (bd.ndim == 3 and ad.ndim != 3):
-        raise ShapeError(f"unsupported matmul ranks {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
-    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
-        raise ShapeError(f"matmul batch dims differ: {ad.shape} @ {bd.shape}")
-    out = Tensor(ad @ bd)
-    if _tracks(tape, a, b):
-        out.requires_grad = True
+    _check_matmul("matmul", ad, bd, -2)
 
-        def fn(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accumulate(a, g @ np.swapaxes(bd, -1, -2))
-            if b.requires_grad:
-                if bd.ndim == 2 and ad.ndim == 3:
-                    _accumulate(b, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-                else:
-                    _accumulate(b, np.swapaxes(ad, -1, -2) @ g)
+    def fn(g: np.ndarray) -> None:
+        if a.requires_grad:
+            _accumulate(a, _mm(g, np.swapaxes(bd, -1, -2)))
+        if b.requires_grad:
+            if bd.ndim < ad.ndim:
+                _accumulate(b, _rows(ad).T @ _rows(g))
+            else:
+                _accumulate(b, np.swapaxes(ad, -1, -2) @ g)
 
-        tape.record(out, (a, b), fn)
-    return out
+    return _record(tape, Tensor(_mm(ad, bd)), (a, b), fn)
 
 
 def matmul_t(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """a @ b^T where b is transposed over its last two axes."""
+    """a @ b^T where b is transposed over its last two axes; ranks as in matmul."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (2, 3) or bd.ndim not in (2, 3) or (bd.ndim == 3 and ad.ndim != 3):
-        raise ShapeError(f"unsupported matmul_t ranks {ad.shape} @ {bd.shape}^T")
-    if ad.shape[-1] != bd.shape[-1]:
-        raise ShapeError(f"matmul_t inner dims differ: {ad.shape} @ {bd.shape}^T")
-    if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
-        raise ShapeError(f"matmul_t batch dims differ: {ad.shape} @ {bd.shape}^T")
-    out = Tensor(ad @ np.swapaxes(bd, -1, -2))
-    if _tracks(tape, a, b):
-        out.requires_grad = True
+    _check_matmul("matmul_t", ad, bd, -1)
 
-        def fn(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accumulate(a, g @ bd)
-            if b.requires_grad:
-                if bd.ndim == 2 and ad.ndim == 3:
-                    _accumulate(b, g.reshape(-1, g.shape[-1]).T @ ad.reshape(-1, ad.shape[-1]))
-                else:
-                    _accumulate(b, np.swapaxes(g, -1, -2) @ ad)
+    def fn(g: np.ndarray) -> None:
+        if a.requires_grad:
+            _accumulate(a, _mm(g, bd))
+        if b.requires_grad:
+            if bd.ndim < ad.ndim:
+                _accumulate(b, _rows(g).T @ _rows(ad))
+            else:
+                _accumulate(b, np.swapaxes(g, -1, -2) @ ad)
 
-        tape.record(out, (a, b), fn)
-    return out
+    return _record(tape, Tensor(_mm(ad, np.swapaxes(bd, -1, -2))), (a, b), fn)
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -172,15 +170,12 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         out = Tensor(a.data + b.data)
     except ValueError as exc:
         raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}") from exc
-    if _tracks(tape, a, b):
-        out.requires_grad = True
 
-        def fn(g: np.ndarray) -> None:
-            _accumulate(a, _reduce_to(g, a.shape))
-            _accumulate(b, _reduce_to(g, b.shape))
+    def fn(g: np.ndarray) -> None:
+        _accumulate(a, _reduce_to(g, a.shape))
+        _accumulate(b, _reduce_to(g, b.shape))
 
-        tape.record(out, (a, b), fn)
-    return out
+    return _record(tape, out, (a, b), fn)
 
 
 def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -190,27 +185,20 @@ def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"mul shapes incompatible: {a.shape} * {b.shape}") from exc
     ad, bd = a.data, b.data
-    if _tracks(tape, a, b):
-        out.requires_grad = True
 
-        def fn(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accumulate(a, _reduce_to(g * bd, a.shape))
-            if b.requires_grad:
-                _accumulate(b, _reduce_to(g * ad, b.shape))
+    def fn(g: np.ndarray) -> None:
+        if a.requires_grad:
+            _accumulate(a, _reduce_to(g * bd, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _reduce_to(g * ad, b.shape))
 
-        tape.record(out, (a, b), fn)
-    return out
+    return _record(tape, out, (a, b), fn)
 
 
 def scale(a: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     """a * c for a python scalar c."""
     c = float(c)
-    out = Tensor(a.data * c)
-    if _tracks(tape, a):
-        out.requires_grad = True
-        tape.record(out, (a,), lambda g: _accumulate(a, g * c))
-    return out
+    return _record(tape, Tensor(a.data * c), (a,), lambda g: _accumulate(a, g * c))
 
 
 def softmax_rows(x: Tensor, tape: Tape | None = None) -> Tensor:
@@ -218,16 +206,12 @@ def softmax_rows(x: Tensor, tape: Tape | None = None) -> Tensor:
     if np.isnan(x.data).any():
         raise NumericError("softmax input contains NaN")
     y = _softmax_np(x.data)
-    out = Tensor(y)
-    if _tracks(tape, x):
-        out.requires_grad = True
 
-        def fn(g: np.ndarray) -> None:
-            # dx = y * (g - sum(g * y)) along the softmax axis
-            _accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+    def fn(g: np.ndarray) -> None:
+        # dx = y * (g - sum(g * y)) along the softmax axis
+        _accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-        tape.record(out, (x,), fn)
-    return out
+    return _record(tape, Tensor(y), (x,), fn)
 
 
 def log_softmax_rows(x: Tensor, tape: Tape | None = None) -> Tensor:
@@ -235,16 +219,11 @@ def log_softmax_rows(x: Tensor, tape: Tape | None = None) -> Tensor:
     if np.isnan(x.data).any():
         raise NumericError("log_softmax input contains NaN")
     out_data = _log_softmax_np(x.data)
-    out = Tensor(out_data)
-    if _tracks(tape, x):
-        out.requires_grad = True
-        sm = np.exp(out_data)
 
-        def fn(g: np.ndarray) -> None:
-            _accumulate(x, g - sm * g.sum(axis=-1, keepdims=True))
+    def fn(g: np.ndarray) -> None:
+        _accumulate(x, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
-        tape.record(out, (x,), fn)
-    return out
+    return _record(tape, Tensor(out_data), (x,), fn)
 
 
 def _softmax_np(x: np.ndarray) -> np.ndarray:
@@ -262,16 +241,12 @@ def gelu(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Exact GeLU x * Phi(x) with Phi the standard normal CDF via erf."""
     xd = x.data
     phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = Tensor(xd * phi)
-    if _tracks(tape, x):
-        out.requires_grad = True
+
+    def fn(g: np.ndarray) -> None:
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
+        _accumulate(x, g * (phi + xd * pdf))
 
-        def fn(g: np.ndarray) -> None:
-            _accumulate(x, g * (phi + xd * pdf))
-
-        tape.record(out, (x,), fn)
-    return out
+    return _record(tape, Tensor(xd * phi), (x,), fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
@@ -286,23 +261,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
-    if _tracks(tape, x, gain, bias):
-        out.requires_grad = True
 
-        def fn(g: np.ndarray) -> None:
-            if x.requires_grad:
-                dxhat = g * gain.data
-                # population-variance layer norm backward
-                _accumulate(x, inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                                      - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
-            if gain.requires_grad:
-                _accumulate(gain, _reduce_to(g * xhat, gain.shape))
-            if bias.requires_grad:
-                _accumulate(bias, _reduce_to(g, bias.shape))
+    def fn(g: np.ndarray) -> None:
+        if x.requires_grad:
+            dxhat = g * gain.data
+            # population-variance layer norm backward
+            _accumulate(x, inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+        if gain.requires_grad:
+            _accumulate(gain, _reduce_to(g * xhat, gain.shape))
+        if bias.requires_grad:
+            _accumulate(bias, _reduce_to(g, bias.shape))
 
-        tape.record(out, (x, gain, bias), fn)
-    return out
+    return _record(tape, Tensor(xhat * gain.data + bias.data), (x, gain, bias), fn)
 
 
 def embedding_lookup(weight: Tensor, ids: np.ndarray, tape: Tape | None = None) -> Tensor:
@@ -312,41 +283,59 @@ def embedding_lookup(weight: Tensor, ids: np.ndarray, tape: Tape | None = None) 
         raise ContractError(f"embedding ids must be integers, got dtype {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
         raise InvalidIndexError(f"embedding id out of range for table of {weight.shape[0]} rows")
-    out = Tensor(weight.data[ids])
-    if _tracks(tape, weight):
-        out.requires_grad = True
-        flat_ids = ids.reshape(-1)
 
-        def fn(g: np.ndarray) -> None:
-            dw = np.zeros_like(weight.data)
-            np.add.at(dw, flat_ids, g.reshape(-1, g.shape[-1]))
-            _accumulate(weight, dw)
+    def fn(g: np.ndarray) -> None:
+        dw = np.zeros_like(weight.data)
+        np.add.at(dw, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
+        _accumulate(weight, dw)
 
-        tape.record(out, (weight,), fn)
-    return out
+    return _record(tape, Tensor(weight.data[ids]), (weight,), fn)
 
 
 def select_first(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Pick position 0 of a (batch, seq, d) tensor -> (batch, d)."""
     if x.data.ndim != 3:
         raise ShapeError(f"select_first expects a 3D tensor, got {x.shape}")
-    out = Tensor(x.data[:, 0, :])
-    if _tracks(tape, x):
-        out.requires_grad = True
 
-        def fn(g: np.ndarray) -> None:
-            dx = np.zeros_like(x.data)
-            dx[:, 0, :] = g
-            _accumulate(x, dx)
+    def fn(g: np.ndarray) -> None:
+        dx = np.zeros_like(x.data)
+        dx[:, 0, :] = g
+        _accumulate(x, dx)
 
-        tape.record(out, (x,), fn)
-    return out
+    return _record(tape, Tensor(x.data[:, 0, :]), (x,), fn)
+
+
+def stack(scalars: Sequence[Tensor], shape: tuple[int, ...],
+          tape: Tape | None = None) -> Tensor:
+    """Pack scalar tensors, in order, into one tensor of the given shape."""
+    out = Tensor(np.array([s.data for s in scalars], dtype=np.float64).reshape(shape))
+
+    def fn(g: np.ndarray) -> None:
+        for s, gs in zip(scalars, g.reshape(-1)):
+            _accumulate(s, gs)
+
+    return _record(tape, out, scalars, fn)
+
+
+def split_heads(x: Tensor, width: int, tape: Tape | None = None) -> Tensor:
+    """(batch, seq, heads * width) -> (batch, heads, seq, width); head h owns column block h."""
+    b, n, cols = x.shape
+    if width < 1 or cols % width:
+        raise ShapeError(f"{cols} columns do not split into heads of width {width}")
+    out = Tensor(x.data.reshape(b, n, cols // width, width).transpose(0, 2, 1, 3))
+    return _record(tape, out, (x,), lambda g: _accumulate(
+        x, g.transpose(0, 2, 1, 3).reshape(b, n, cols)))
+
+
+def merge_heads(x: Tensor, tape: Tape | None = None) -> Tensor:
+    """(batch, heads, seq, width) -> (batch, seq, heads * width); inverse of split_heads."""
+    b, heads, n, width = x.shape
+    out = Tensor(x.data.transpose(0, 2, 1, 3).reshape(b, n, heads * width))
+    return _record(tape, out, (x,), lambda g: _accumulate(
+        x, g.reshape(b, n, heads, width).transpose(0, 2, 1, 3)))
 
 
 def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Sum every element down to a scalar tensor."""
-    out = Tensor(x.data.sum())
-    if _tracks(tape, x):
-        out.requires_grad = True
-        tape.record(out, (x,), lambda g: _accumulate(x, np.broadcast_to(g, x.shape).copy()))
-    return out
+    return _record(tape, Tensor(x.data.sum()), (x,),
+                   lambda g: _accumulate(x, np.broadcast_to(g, x.shape).copy()))

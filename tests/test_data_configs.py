@@ -62,11 +62,10 @@ class TestConfigDataclasses:
         with pytest.raises(ConfigError):
             VocabularyPruningConfig(min_count=-1)
 
-    def test_cuda_parses_but_is_not_runnable(self):
-        cfg = GeneralConfig(device="cuda")
+    def test_cuda_rejected_at_parse(self):
         with pytest.raises(ConfigError, match="cpu"):
-            cfg.ensure_runnable()
-        GeneralConfig().ensure_runnable()
+            GeneralConfig(device="cuda")
+        assert GeneralConfig().device == "cpu"
 
     def test_unknown_device(self):
         with pytest.raises(ConfigError):

@@ -506,12 +506,10 @@ class TestPipelineAndSaving:
                                                       target_ffn_size=32), save=False)
         assert not out.exists()
 
-    def test_rejects_unrunnable_device(self, tmp_path):
-        model, vocab, spec, ds, corpus = self.setup_inputs(tmp_path)
+    def test_rejects_unrunnable_device(self):
+        # an unrunnable device never reaches pipeline_prune: the config rejects it
         with pytest.raises(ConfigError, match="cpu"):
-            pipeline_prune(model, vocab, corpus, ds, GeneralConfig(device="cuda"),
-                           VocabularyPruningConfig(), cfg(target_num_of_heads=2,
-                                                          target_ffn_size=32))
+            GeneralConfig(device="cuda")
 
     def test_save_refuses_nonempty_target(self, tmp_path):
         model, vocab, spec = toy()

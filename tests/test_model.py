@@ -3,10 +3,13 @@ and parameter accounting."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from conftest import gates_from_drops, toy
 from prunekit.checkpoint import load_model, save_model
@@ -17,6 +20,7 @@ from prunekit.model import (ModelConfig, build_gates, count_parameters,
                             count_parameters_from_config, encoder_forward, lm_forward,
                             named_tensors, remove_ffn_neurons, remove_heads,
                             remove_vocab_rows, task_forward)
+from prunekit.tensor import Tape, backward, sum_all
 
 
 def ids_batch(vocab, rows=2, n=8, seed=0):
@@ -24,7 +28,40 @@ def ids_batch(vocab, rows=2, n=8, seed=0):
     return rng.integers(0, len(vocab), size=(rows, n))
 
 
+def per_head_reference(model, ids):
+    """The encoder computed head by head in plain NumPy, straight from the spec."""
+    d, dh = model.config.hidden_size, model.config.head_size
+
+    def norm(v, gain, bias):
+        c = v - v.mean(axis=-1, keepdims=True)
+        return c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + 1e-5) * gain.data + bias.data
+
+    x = model.embedding.data[ids] + model.position_embedding.data[:ids.shape[1]]
+    for layer in model.layers:
+        att, mixed = layer.heads, np.zeros_like(x)
+        for h in range(len(att)):
+            rows = slice(h * dh, (h + 1) * dh)
+            q, k, v = (x @ w.data[rows].T + b.data[rows]
+                       for w, b in ((att.wq, att.bq), (att.wk, att.bk), (att.wv, att.bv)))
+            s = q @ k.transpose(0, 2, 1) / np.sqrt(d)
+            p = np.exp(s - s.max(axis=-1, keepdims=True))
+            mixed += (p / p.sum(axis=-1, keepdims=True)) @ v @ att.wo.data[rows] + att.bo.data[h]
+        x = norm(x + mixed, layer.ln1_gain, layer.ln1_bias)
+        hidden = x @ layer.w1.data + layer.b1.data
+        hidden = hidden * 0.5 * (1.0 + erf(hidden / np.sqrt(2.0)))
+        x = norm(x + hidden @ layer.w2.data + layer.b2.data, layer.ln2_gain, layer.ln2_bias)
+    return x
+
+
 class TestForward:
+    def test_matches_per_head_reference(self):
+        model, vocab, spec = toy(num_layers=3)
+        remove_heads(model, 0, range(spec.num_heads))   # an empty layer, an uneven
+        remove_heads(model, 1, [2])                     # one and a full one
+        ids = ids_batch(vocab, rows=3, n=11)
+        np.testing.assert_allclose(encoder_forward(model, ids).data,
+                                   per_head_reference(model, ids), rtol=0, atol=1e-12)
+
     def test_output_shapes(self):
         model, vocab, spec = toy()
         ids = ids_batch(vocab)
@@ -65,6 +102,17 @@ class TestForward:
         ids = np.zeros((1, spec.max_seq_len + 1), dtype=np.int64)
         with pytest.raises(ContractError):
             encoder_forward(model, ids)
+
+    def test_taped_forward_size_independent_of_head_count(self):
+        # heads are computed as one stacked block, so the tape does not grow with H
+        lengths = set()
+        for heads in (1, 2, 4, 8):
+            model, vocab, _ = toy(num_heads=heads)
+            head_gates, ffn_gates = build_gates(model, requires_grad=True)
+            tape = Tape()
+            task_forward(model, ids_batch(vocab), head_gates, ffn_gates, tape)
+            lengths.add(len(tape))
+        assert len(lengths) == 1, lengths
 
     def test_gate_structure_validated(self):
         model, vocab, _ = toy()
@@ -112,6 +160,16 @@ class TestSurgery:
         assert pruned.config.num_heads == [0, spec.num_heads]
         np.testing.assert_allclose(task_forward(pruned, ids).data, gated,
                                    rtol=0, atol=1e-10)
+
+    def test_backward_through_empty_layer(self):
+        # a layer with no heads still carries zero-width attention tensors
+        model, vocab, spec = toy()
+        remove_heads(model, 0, range(spec.num_heads))
+        tape = Tape()
+        logits = task_forward(model, ids_batch(vocab), tape=tape)
+        backward(tape, sum_all(logits, tape))
+        assert model.layers[0].heads.wo.grad.shape == (0, spec.hidden_size)
+        assert np.isfinite(model.layers[1].heads.wq.grad).all()
 
     def test_removed_ffn_neuron_equals_zero_gate(self):
         model, vocab, _ = toy()
@@ -255,12 +313,43 @@ class TestCheckpoint:
         for (_, ta), (_, tb) in zip(named_tensors(model), named_tensors(loaded)):
             assert ta.data.tobytes() == tb.data.tobytes()
 
+    # sha256 of the default fixture's checkpoint files, and of the same model
+    # after removing heads 0 and 2 of layer 0 and every head of layer 1, as
+    # written before attention was stored stacked: the format must not change
+    FORMAT_PINS = [
+        ({}, "4f6a7a90af8fcef7fbcda57969b8b99f4162cd8fa9d7d833e8e10577a79b4a70",
+         "3da9fe50df08d9b4d65a4c9a76ce8e73eb403b008bd51db5ed1e1296acbaee87"),
+        ({0: [0, 2], 1: [0, 1, 2, 3]},
+         "2e60252b1df4fa68c4b83c6f2a8bed67e1cf16bd04a13cceac826c493b2c345d",
+         "c7d1c076ec75fdfac1100a3bebc17249a7b05e76185979d0ded7571afef65254"),
+    ]
+
+    @pytest.mark.parametrize("drops,weights_sha,manifest_sha", FORMAT_PINS)
+    def test_format_bytes_pinned(self, tmp_path, drops, weights_sha, manifest_sha):
+        model = build_model(FixtureSpec())
+        for layer, heads in drops.items():
+            remove_heads(model, layer, heads)
+        save_model(model, tmp_path / "m")
+        digest = lambda f: hashlib.sha256((tmp_path / "m" / f).read_bytes()).hexdigest()
+        assert digest("weights.bin") == weights_sha
+        assert digest("manifest.json") == manifest_sha
+
     def test_truncated_weights_rejected(self, tmp_path):
         model, _, _ = toy()
         save_model(model, tmp_path / "m")
         wpath = tmp_path / "m" / "weights.bin"
         wpath.write_bytes(wpath.read_bytes()[:-16])
-        with pytest.raises(CorruptionError):
+        # the last tensor, classifier.bias, holds 24 bytes: the file ends inside it
+        with pytest.raises(CorruptionError, match=r"truncated at tensor classifier\.bias"):
+            load_model(tmp_path / "m")
+
+    def test_oversized_weights_rejected(self, tmp_path):
+        model, _, _ = toy()
+        save_model(model, tmp_path / "m")
+        wpath = tmp_path / "m" / "weights.bin"
+        size = wpath.stat().st_size
+        wpath.write_bytes(wpath.read_bytes() + bytes(8))
+        with pytest.raises(CorruptionError, match=f"holds {size + 8} bytes"):
             load_model(tmp_path / "m")
 
     def test_manifest_shape_mismatch_names_tensor(self, tmp_path):

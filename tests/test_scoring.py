@@ -13,8 +13,8 @@ from prunekit.data import load_dataset
 from prunekit.errors import (ConfigError, ContractError, ShapeError)
 from prunekit.fixtures import build_dataset_rows
 from prunekit.model import build_gates, named_tensors, task_forward
-from prunekit.scoring import (Adaptor, LossSpec, ScoreTable, compute_scores,
-                              cross_entropy, kl_loss)
+from prunekit.scoring import (LossSpec, ScoreTable, compute_scores, cross_entropy,
+                              kl_loss)
 from prunekit.tensor import Tape, Tensor, backward
 
 
@@ -143,16 +143,13 @@ class TestLossSpec:
         with pytest.raises(ConfigError):
             LossSpec(kind="cross_entropy", reference_logits=[np.zeros((1, 2))])
 
-    def test_adaptor_source(self):
-        with pytest.raises(ConfigError):
-            Adaptor(logits_source="lm_head")
-
 
 class TestComputeScores:
     def test_zeroed_head_scores_zero(self, tmp_path):
         model, vocab, spec = toy()
-        model.layers[0].heads[1].wo.data[:] = 0.0
-        model.layers[0].heads[1].bo.data[:] = 0.0
+        heads, dh = model.layers[0].heads, spec.hidden_size // spec.num_heads
+        heads.wo.data[dh:2 * dh] = 0.0
+        heads.bo.data[1] = 0.0
         ds = tiny_dataset(tmp_path, vocab, spec)
         table = compute_scores(model, ds, LossSpec.supervised())
         assert table.head_scores[0][1] == 0.0
