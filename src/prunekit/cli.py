@@ -48,12 +48,36 @@ def _resolve_mode_alias(argv: list[str]) -> list[str]:
     return out
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; a bad value exits 2 like any flag error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a float in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model-dir", required=True, help="checkpoint directory with vocab.txt")
     p.add_argument("--output-dir", help="where to write the pruned model (overrides general config)")
     p.add_argument("--general-config", help="general config JSON (device, output_dir)")
     p.add_argument("--report-json", help="also write the prune report to this path")
-    p.add_argument("--threads", type=int, default=1, help="scoring threads")
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="scoring threads")
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -64,9 +88,23 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     group.add_argument("--unlabeled", dest="labeled", action="store_false",
                        help="dataset rows are raw text")
     p.add_argument("--seed", type=int, default=0, help="subsampling seed")
-    p.add_argument("--subsample", type=float, default=1.0, help="fraction of examples to keep")
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--max-len", type=int, help="max sequence length (default: model limit, capped at 128)")
+    p.add_argument("--subsample", type=_fraction, default=1.0, help="fraction of examples to keep")
+    p.add_argument("--batch-size", type=_int_at_least(1), default=8)
+    p.add_argument("--max-len", type=_int_at_least(2),
+                   help="max sequence length (default: model limit, capped at 128)")
+
+
+def _add_vocab_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", required=True, help="one document per line")
+    p.add_argument("--vocab-config", help="vocabulary pruning config JSON")
+    p.add_argument("--pre-tokenized", action="store_true",
+                   help="corpus is whitespace-separated vocabulary tokens")
+
+
+def _add_transformer_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--transformer-config", required=True, help="transformer pruning config JSON")
+    p.add_argument("--mask-json", help="externally supplied pruning mask (method 'mask')")
+    p.add_argument("--scores-json", help="write final-iteration importance scores here")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,29 +114,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune-vocab", help="drop rare vocabulary entries and their embeddings")
     _add_common(p)
-    p.add_argument("--corpus", required=True, help="one document per line")
-    p.add_argument("--vocab-config", help="vocabulary pruning config JSON")
-    p.add_argument("--pre-tokenized", action="store_true",
-                   help="corpus is whitespace-separated vocabulary tokens")
+    _add_vocab_args(p)
     p.set_defaults(func=_cmd_prune_vocab)
 
     p = sub.add_parser("prune-transformer", help="prune attention heads and FFN neurons")
     _add_common(p)
     _add_dataset_args(p)
-    p.add_argument("--transformer-config", required=True)
-    p.add_argument("--mask-json", help="externally supplied pruning mask (method 'mask')")
-    p.add_argument("--scores-json", help="write final-iteration importance scores here")
+    _add_transformer_args(p)
     p.set_defaults(func=_cmd_prune_transformer)
 
     p = sub.add_parser("prune-pipeline", help="transformer pruning then vocabulary pruning")
     _add_common(p)
     _add_dataset_args(p)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab-config")
-    p.add_argument("--pre-tokenized", action="store_true")
-    p.add_argument("--transformer-config", required=True)
-    p.add_argument("--mask-json")
-    p.add_argument("--scores-json")
+    _add_vocab_args(p)
+    _add_transformer_args(p)
     p.set_defaults(func=_cmd_prune_pipeline)
 
     p = sub.add_parser("summary", help="print the parameter table of a checkpoint")
@@ -109,10 +138,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure forward-pass latency")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--reference-dir", help="also time this checkpoint and print the speedup")
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=8)
     p.add_argument("--seq-len", type=int, default=64)
-    p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--warmup", type=_int_at_least(0), default=1)
+    p.add_argument("--rounds", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 

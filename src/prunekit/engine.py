@@ -9,7 +9,6 @@ tie-breaking by (lower layer index, then lower unit index) first.
 
 from __future__ import annotations
 
-import heapq
 import json
 import time
 import warnings
@@ -79,64 +78,41 @@ def front_load(total: int, parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(parts)]
 
 
-def _drop_per_layer(keep: list[np.ndarray], scores: list[np.ndarray],
-                    per_layer: Sequence[int], what: str) -> None:
-    for l, q in enumerate(per_layer):
-        kept = np.flatnonzero(keep[l])
-        if not 0 <= q <= kept.size:
-            raise ConfigError(f"{what} quota {q} invalid for {kept.size} kept units in layer {l}")
-        if q == 0:
-            continue
-        order = sorted(range(kept.size), key=lambda j: (scores[l][j], kept[j]))
-        for j in order[:q]:
-            keep[l][kept[j]] = False
+def _drop_counts(quota: int | Sequence[int], scores: list[np.ndarray], even: bool,
+                 m: int, what: str) -> list[int]:
+    """Per-layer drop counts for one quota.
 
-
-def _drop_global(keep: list[np.ndarray], scores: list[np.ndarray],
-                 quota: int, m: int, what: str) -> None:
-    kepts = [np.flatnonzero(k) for k in keep]
-    total = sum(k.size for k in kepts)
-    if not 0 <= quota <= total:
+    A sequence is used as given and an even int is split equally. A global
+    int keeps the best blocks of m units across layers: each layer's scores,
+    best first, are cut into blocks of m, and the kept_total // m blocks with
+    the largest sums survive, ties keeping the higher layer.
+    """
+    L = len(scores)
+    if not isinstance(quota, (int, np.integer)):
+        return [int(q) for q in quota]
+    if quota < 0:
+        raise ConfigError(f"{what} quota must be >= 0, got {quota}")
+    if even:
+        if quota % L:
+            raise ConfigError(f"even {what} quota {quota} is not divisible by {L} layers")
+        return [quota // L] * L
+    quota = int(quota)
+    sizes = np.array([s.size for s in scores], dtype=np.int64)
+    total = int(sizes.sum())
+    if quota > total:
         raise ConfigError(f"{what} quota {quota} invalid for {total} kept units")
     if quota == 0:
-        return
-    if m == 1:
-        cands = sorted((float(scores[l][j]), l, int(kept[j]))
-                       for l, kept in enumerate(kepts) for j in range(kept.size))
-        for _, l, orig in cands[:quota]:
-            keep[l][orig] = False
-        return
-
-    target_total = total - quota
-    if target_total % m:
-        raise ConfigError(f"{what}: kept total {target_total} is not a multiple of {m}")
-    if target_total > sum(m * (k.size // m) for k in kepts):
-        raise ConfigError(f"{what}: no per-layer multiples of {m} can keep {target_total} units")
-
-    # keep-order per layer: score descending, ties keep the higher original
-    # index (the mirror of dropping lower indices first)
-    orders, prefixes = [], []
-    for l, kept in enumerate(kepts):
-        order = sorted(range(kept.size), key=lambda j: (scores[l][j], kept[j]), reverse=True)
-        orders.append([int(kept[j]) for j in order])
-        prefixes.append(np.concatenate(([0.0], np.cumsum([float(scores[l][j]) for j in order]))))
-
-    # greedy m-sized block allocation; optimal because sorted prefix gains
-    # are non-increasing per layer
-    alloc = [0] * len(kepts)
-    heap = []
-    for l, kept in enumerate(kepts):
-        if kept.size >= m:
-            heapq.heappush(heap, (-(prefixes[l][m] - prefixes[l][0]), -l, l))
-    for _ in range(target_total // m):
-        neg_gain, _, l = heapq.heappop(heap)
-        alloc[l] += m
-        if alloc[l] + m <= m * (kepts[l].size // m):
-            gain = prefixes[l][alloc[l] + m] - prefixes[l][alloc[l]]
-            heapq.heappush(heap, (-gain, -l, l))
-    for l in range(len(kepts)):
-        for orig in orders[l][alloc[l]:]:
-            keep[l][orig] = False
+        return [0] * L
+    kept_total = total - quota
+    if kept_total % m:
+        raise ConfigError(f"{what}: kept total {kept_total} is not a multiple of {m}")
+    if kept_total > int((m * (sizes // m)).sum()):
+        raise ConfigError(f"{what}: no per-layer multiples of {m} can keep {kept_total} units")
+    blocks = [np.sort(s)[::-1][:m * (s.size // m)].reshape(-1, m).sum(axis=1) for s in scores]
+    gains = np.concatenate(blocks)
+    layers = np.repeat(np.arange(L), [b.size for b in blocks])
+    best = np.lexsort((-layers, -gains))[:kept_total // m]
+    return (sizes - m * np.bincount(layers[best], minlength=L)).tolist()
 
 
 def select_targets(scores: ScoreTable, mask: PruningMask,
@@ -145,8 +121,9 @@ def select_targets(scores: ScoreTable, mask: PruningMask,
     """Mark the lowest-scored units as dropped; returns a new, smaller mask.
 
     An int quota is a global budget: split equally across layers under even
-    masking (must divide evenly), or allocated by global score order
-    otherwise. A sequence quota gives explicit per-layer drop counts.
+    masking (must divide evenly), or allocated across layers by score
+    otherwise, in blocks of multiple_of FFN neurons or of single heads. A
+    sequence quota gives explicit per-layer drop counts.
     """
     L = len(mask.head_keep)
     if len(scores.head_scores) != L or len(scores.ffn_scores) != L:
@@ -160,52 +137,41 @@ def select_targets(scores: ScoreTable, mask: PruningMask,
                              f"{int(mask.ffn_keep[l].sum())} kept neurons")
 
     new = mask.copy()
-
-    def resolve(quota, even: bool, what: str) -> tuple[Sequence[int] | None, int | None]:
-        if isinstance(quota, (int, np.integer)):
-            if quota < 0:
-                raise ConfigError(f"{what} quota must be >= 0, got {quota}")
-            if even:
-                if quota % L:
-                    raise ConfigError(f"even {what} quota {quota} is not divisible by {L} layers")
-                return [quota // L] * L, None
-            return None, int(quota)
-        return [int(q) for q in quota], None
-
-    per_layer, global_q = resolve(quota_heads, cfg.head_even_masking, "head")
-    if per_layer is not None:
-        _drop_per_layer(new.head_keep, scores.head_scores, per_layer, "head")
-    else:
-        _drop_global(new.head_keep, scores.head_scores, global_q, 1, "head")
-
-    per_layer, global_q = resolve(quota_ffn, cfg.ffn_even_masking, "ffn")
-    if per_layer is not None:
-        _drop_per_layer(new.ffn_keep, scores.ffn_scores, per_layer, "ffn")
-    else:
-        _drop_global(new.ffn_keep, scores.ffn_scores, global_q, cfg.multiple_of, "ffn")
+    for keep, unit_scores, quota, even, m, what in (
+            (new.head_keep, scores.head_scores, quota_heads, cfg.head_even_masking, 1, "head"),
+            (new.ffn_keep, scores.ffn_scores, quota_ffn, cfg.ffn_even_masking,
+             cfg.multiple_of, "ffn")):
+        for l, q in enumerate(_drop_counts(quota, unit_scores, even, m, what)):
+            kept = np.flatnonzero(keep[l])
+            if not 0 <= q <= kept.size:
+                raise ConfigError(f"{what} quota {q} invalid for {kept.size} kept units in layer {l}")
+            # lowest scores drop first; ties drop the lower original index
+            keep[l][kept[np.lexsort((kept, unit_scores[l]))[:q]]] = False
     return new
 
 
 def _apply_mask_delta(model: Model, old: PruningMask,
                       new: PruningMask) -> tuple[list[list[int]], list[list[int]]]:
-    """Surgically remove units old keeps but new drops; returns original indices."""
-    heads_dropped, ffn_dropped = [], []
+    """Surgically remove units old keeps but new drops.
+
+    Returns the [layer, original index] pairs of the dropped heads and of the
+    dropped FFN neurons.
+    """
+    heads_pruned: list[list[int]] = []
+    ffn_pruned: list[list[int]] = []
     for l in range(len(old.head_keep)):
         if (new.head_keep[l] & ~old.head_keep[l]).any() or \
            (new.ffn_keep[l] & ~old.ffn_keep[l]).any():
             raise ContractError(f"layer {l}: mask gained units; dropped sets must only grow")
-        prev = np.flatnonzero(old.head_keep[l])
-        gone = [int(orig) for orig in prev if not new.head_keep[l][orig]]
-        if gone:
-            remove_heads(model, l, list(np.searchsorted(prev, gone)))
-        heads_dropped.append(gone)
-
-        prev = np.flatnonzero(old.ffn_keep[l])
-        gone = [int(orig) for orig in prev if not new.ffn_keep[l][orig]]
-        if gone:
-            remove_ffn_neurons(model, l, list(np.searchsorted(prev, gone)))
-        ffn_dropped.append(gone)
-    return heads_dropped, ffn_dropped
+        for prev_keep, next_keep, remove, pruned in (
+                (old.head_keep[l], new.head_keep[l], remove_heads, heads_pruned),
+                (old.ffn_keep[l], new.ffn_keep[l], remove_ffn_neurons, ffn_pruned)):
+            prev = np.flatnonzero(prev_keep)
+            gone = np.flatnonzero(np.logical_not(next_keep[prev]))
+            if gone.size:
+                remove(model, l, list(gone))
+            pruned.extend([l, int(i)] for i in prev[gone])
+    return heads_pruned, ffn_pruned
 
 
 @dataclass
@@ -245,7 +211,7 @@ class PruneReport:
 
 
 def _quota_schedules(cfg: TransformerPruningConfig, widths: list[int],
-                          what: str) -> list[list[int] | int]:
+                     what: str) -> list[list[int] | int]:
     """Per-iteration quotas: per-layer lists under even masking, ints otherwise."""
     L = len(widths)
     target = cfg.target_num_of_heads if what == "head" else cfg.target_ffn_size
@@ -264,13 +230,10 @@ def _quota_schedules(cfg: TransformerPruningConfig, widths: list[int],
         raise ConfigError(f"{what} target {target} per layer exceeds current total {total}")
     gap = total - goal
     m = cfg.multiple_of if what == "ffn" else 1
-    if m > 1:
-        if goal % m:
-            raise ConfigError(f"ffn target total {goal} is not a multiple of multiple_of={m}")
-        blocks = front_load(gap // m, cfg.n_iters)
-        rem = gap % m
-        return [blocks[t] * m + (rem if t == 0 else 0) for t in range(cfg.n_iters)]
-    return front_load(gap, cfg.n_iters)
+    if goal % m:
+        raise ConfigError(f"ffn target total {goal} is not a multiple of multiple_of={m}")
+    blocks = front_load(gap // m, cfg.n_iters)
+    return [blocks[t] * m + (gap % m if t == 0 else 0) for t in range(cfg.n_iters)]
 
 
 def transformer_prune(model: Model, dataset: Dataset | None,
@@ -281,7 +244,9 @@ def transformer_prune(model: Model, dataset: Dataset | None,
                       progress: ProgressFn | None = None) -> PruneReport:
     """Prune heads and FFN neurons to the configured targets.
 
-    Iterative mode scores on the dataset each iteration. Self-supervised
+    Both methods run the same loop: the mask method applies the given mask
+    as its one step. Iterative mode scores on the dataset each iteration,
+    except in iterations with nothing to drop. Self-supervised
     scoring caches reference logits from the model as it stands on entry
     and keeps that reference for every iteration.
     """
@@ -301,12 +266,7 @@ def transformer_prune(model: Model, dataset: Dataset | None,
             if mask.head_keep[l].shape != (orig_heads[l],) or \
                mask.ffn_keep[l].shape != (orig_ffn[l],):
                 raise ShapeError(f"layer {l}: mask widths do not match model widths")
-        full = PruningMask.all_keep(orig_heads, orig_ffn)
-        heads_dropped, ffn_dropped = _apply_mask_delta(model, full, mask)
-        iterations.append({"iteration": 1,
-                           "heads_pruned": [[l, i] for l, gone in enumerate(heads_dropped) for i in gone],
-                           "ffn_pruned": [[l, i] for l, gone in enumerate(ffn_dropped) for i in gone]})
-        final_mask = mask.copy()
+        n_steps = 1
     else:
         if dataset is None or len(dataset) == 0:
             raise ContractError("iterative pruning requires a non-empty dataset")
@@ -314,44 +274,36 @@ def transformer_prune(model: Model, dataset: Dataset | None,
             loss_spec = LossSpec.self_supervised() if cfg.use_logits else LossSpec.supervised()
         if loss_spec.kind == KL_DIVERGENCE and loss_spec.reference_logits is None:
             loss_spec = LossSpec.self_supervised(reference_logits(model, dataset))
-
         head_sched = _quota_schedules(cfg, orig_heads, "head")
         ffn_sched = _quota_schedules(cfg, orig_ffn, "ffn")
-        cur_mask = PruningMask.all_keep(orig_heads, orig_ffn)
+        n_steps = cfg.n_iters
 
-        for t in range(cfg.n_iters):
-            qh, qf = head_sched[t], ffn_sched[t]
-            h_total = sum(qh) if isinstance(qh, list) else qh
-            f_total = sum(qf) if isinstance(qf, list) else qf
-            if h_total == 0 and f_total == 0:
-                iterations.append({"iteration": t + 1, "heads_pruned": [], "ffn_pruned": []})
-                if progress is not None:
-                    progress(t + 1, cfg.n_iters, 0, 0)
-                continue
+    cur_mask = PruningMask.all_keep(orig_heads, orig_ffn)
+    for t in range(n_steps):
+        if cfg.pruning_method == "mask":
+            new_mask = mask.copy()
+        elif not np.any(head_sched[t]) and not np.any(ffn_sched[t]):
+            new_mask = cur_mask
+        else:
             last_scores = compute_scores(model, dataset, loss_spec,
                                          granularity=cfg.score_granularity,
                                          threads=threads)
-            new_mask = select_targets(last_scores, cur_mask, qh, qf, cfg)
-            heads_dropped, ffn_dropped = _apply_mask_delta(model, cur_mask, new_mask)
-            iterations.append({"iteration": t + 1,
-                               "heads_pruned": [[l, i] for l, gone in enumerate(heads_dropped) for i in gone],
-                               "ffn_pruned": [[l, i] for l, gone in enumerate(ffn_dropped) for i in gone]})
-            cur_mask = new_mask
-            if progress is not None:
-                progress(t + 1, cfg.n_iters,
-                         sum(len(g) for g in heads_dropped), sum(len(g) for g in ffn_dropped))
-        final_mask = cur_mask
+            new_mask = select_targets(last_scores, cur_mask, head_sched[t], ffn_sched[t], cfg)
+        heads_pruned, ffn_pruned = _apply_mask_delta(model, cur_mask, new_mask)
+        iterations.append({"iteration": t + 1, "heads_pruned": heads_pruned,
+                           "ffn_pruned": ffn_pruned})
+        cur_mask = new_mask
+        if progress is not None:
+            progress(t + 1, n_steps, len(heads_pruned), len(ffn_pruned))
 
-        if cfg.head_even_masking and any(h != cfg.target_num_of_heads for h in model.config.num_heads):
-            raise ContractError(f"head targets missed: {model.config.num_heads}")
-        if not cfg.head_even_masking and sum(model.config.num_heads) != \
-                len(model.layers) * cfg.target_num_of_heads:
-            raise ContractError(f"head budget missed: {model.config.num_heads}")
-        if cfg.ffn_even_masking and any(f != cfg.target_ffn_size for f in model.config.ffn_size):
-            raise ContractError(f"ffn targets missed: {model.config.ffn_size}")
-        if not cfg.ffn_even_masking and sum(model.config.ffn_size) != \
-                len(model.layers) * cfg.target_ffn_size:
-            raise ContractError(f"ffn budget missed: {model.config.ffn_size}")
+    if cfg.pruning_method == "iterative":
+        for what, widths, target, even in (
+                ("head", model.config.num_heads, cfg.target_num_of_heads, cfg.head_even_masking),
+                ("ffn", model.config.ffn_size, cfg.target_ffn_size, cfg.ffn_even_masking)):
+            if even and any(w != target for w in widths):
+                raise ContractError(f"{what} targets missed: {widths}")
+            if not even and sum(widths) != len(widths) * target:
+                raise ContractError(f"{what} budget missed: {widths}")
 
     return PruneReport(
         method=cfg.pruning_method,
@@ -362,7 +314,7 @@ def transformer_prune(model: Model, dataset: Dataset | None,
         final_num_heads=list(model.config.num_heads),
         final_ffn_size=list(model.config.ffn_size),
         iterations=iterations,
-        mask=final_mask,
+        mask=cur_mask,
         elapsed_seconds=time.perf_counter() - start,
         config=config_to_dict(cfg),
         last_scores=last_scores,

@@ -41,6 +41,9 @@ class FixtureSpec:
     dataset_rows: int = 32
 
     def __post_init__(self):
+        for name in ("num_heads", "corpus_lines", "dataset_rows"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.hidden_size % self.num_heads:
             raise ConfigError(f"hidden_size {self.hidden_size} not divisible by "
                               f"num_heads {self.num_heads}")

@@ -284,6 +284,8 @@ def _check_token_ids(model: Model, token_ids: np.ndarray) -> np.ndarray:
     ids = np.asarray(token_ids)
     if ids.ndim != 2:
         raise ContractError(f"token_ids must be 2D (batch, seq), got shape {ids.shape}")
+    if ids.shape[0] < 1:
+        raise ContractError("token_ids must contain at least one row")
     if ids.shape[1] < 1:
         raise ContractError("token_ids must contain at least one position")
     if ids.shape[1] > model.config.max_seq_len:

@@ -156,7 +156,7 @@ def reindex(vocab: Vocabulary, kept_ids: Iterable[int]) -> tuple[Vocabulary, dic
     if not kept:
         raise ContractError("kept_ids must not be empty")
     if len(set(kept)) != len(kept):
-        raise InvalidIndexError(f"duplicate kept ids")
+        raise InvalidIndexError("duplicate kept ids")
     for i in kept:
         if not 0 <= i < len(vocab):
             raise InvalidIndexError(f"kept id {i} out of range for vocabulary of {len(vocab)}")

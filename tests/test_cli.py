@@ -244,6 +244,36 @@ class TestExitCodes:
         assert code == 2
         assert "--dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,field", [("--heads", "num_heads"),
+                                            ("--corpus-lines", "corpus_lines"),
+                                            ("--dataset-rows", "dataset_rows")])
+    def test_make_fixture_zero_count_is_2(self, flag, field, tmp_path, capsys):
+        assert run_cli(["make-fixture", "--out", str(tmp_path / "fx"), flag, "0"]) == 2
+        assert f"error: {field} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "fx").exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("prune-transformer", "--threads", "0"),
+        ("prune-transformer", "--batch-size", "0"),
+        ("prune-transformer", "--max-len", "1"),
+        ("prune-transformer", "--subsample", "0"),
+        ("prune-pipeline", "--subsample", "1.5"),
+        ("bench", "--rounds", "0"),
+        ("bench", "--warmup", "-1"),
+    ])
+    def test_out_of_range_flag_is_2(self, command, flag, value, fixture_dir,
+                                    trm_config_path, tmp_path, capsys):
+        argv = [command, "--model-dir", model_dir(fixture_dir), flag, value]
+        if command != "bench":
+            argv += ["--transformer-config", str(trm_config_path),
+                     "--dataset", str(fixture_dir / "dataset.tsv"),
+                     "--output-dir", str(tmp_path / "out")]
+        if command == "prune-pipeline":
+            argv += ["--corpus", str(fixture_dir / "corpus.txt")]
+        assert run_cli(argv) == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_corpus_file_is_1(self, fixture_dir, tmp_path, capsys):
         code = run_cli(["prune-vocab", "--model-dir", model_dir(fixture_dir),
                         "--corpus", str(tmp_path / "missing.txt"),

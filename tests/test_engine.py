@@ -119,6 +119,51 @@ class TestSelectTargets:
         # lowest kept neuron score 0.05 is original index 3 (kept: 0,1,3)
         assert new.ffn_keep[0].tolist() == [True, True, False, False]
 
+    def test_global_head_ties_across_layers_drop_lower_layer_first(self):
+        # every layer scores [0.3, 0.1, 0.2, 0.1]: the four 0.1s tie across
+        # layers and within them; layer 0 gives up its two, then layer 1
+        mask = PruningMask.all_keep([4, 4, 4], [1, 1, 1])
+        t = table([[0.3, 0.1, 0.2, 0.1]] * 3, [[1.0]] * 3)
+        new = select_targets(t, mask, 4, [0, 0, 0], cfg(head_even_masking=False))
+        assert [k.tolist() for k in new.head_keep] == [[True, False, True, False],
+                                                       [True, False, True, False],
+                                                       [True, True, True, True]]
+
+    def test_global_ffn_block_ties_across_layers_drop_lower_layer_first(self):
+        # m = 4: each layer's blocks sum to 10 and 4, identical across layers;
+        # keeping 8 units keeps the tied 10-blocks of the two higher layers
+        mask = PruningMask.all_keep([1, 1, 1], [8, 8, 8])
+        t = table([[1.0]] * 3, [[3, 1, 2, 1, 3, 1, 2, 1]] * 3)
+        new = select_targets(t, mask, [0, 0, 0], 16,
+                             cfg(ffn_even_masking=False, multiple_of=4))
+        assert [k.tolist() for k in new.ffn_keep] == [[False] * 8,
+                                                      [True, False] * 4,
+                                                      [True, False] * 4]
+
+    def test_global_head_quota_matches_sort_oracle(self):
+        rng = np.random.default_rng(3)
+        pools = [lambda: rng.random(3), lambda: np.array([0.0, -0.0, 1e-17]),
+                 lambda: rng.random(64)]
+        for trial in range(300):
+            L = int(rng.integers(1, 5))
+            mask = PruningMask.all_keep([int(rng.integers(0, 7)) for _ in range(L)], [1] * L)
+            for k in mask.head_keep:
+                k[rng.random(k.size) < 0.3] = False
+            kepts = [np.flatnonzero(k) for k in mask.head_keep]
+            pool = pools[trial % len(pools)]()
+            scores = [rng.choice(pool, size=kept.size) for kept in kepts]
+            quota = int(rng.integers(0, sum(k.size for k in kepts) + 1))
+            new = select_targets(table(scores, [[1.0]] * L), mask, quota, [0] * L,
+                                 cfg(head_even_masking=False))
+            # oracle: drop the quota lowest units by (score, layer, original index)
+            cands = sorted((float(scores[l][j]), l, int(kept[j]))
+                           for l, kept in enumerate(kepts) for j in range(kept.size))
+            expect = [k.copy() for k in mask.head_keep]
+            for _, l, orig in cands[:quota]:
+                expect[l][orig] = False
+            assert [k.tolist() for k in new.head_keep] == [k.tolist() for k in expect], \
+                f"trial {trial}"
+
     def test_multiple_of_matches_brute_force(self):
         rng = np.random.default_rng(11)
         m = 2

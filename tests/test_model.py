@@ -103,6 +103,11 @@ class TestForward:
         with pytest.raises(ContractError):
             encoder_forward(model, ids)
 
+    def test_zero_rows_rejected(self):
+        model, _, _ = toy()
+        with pytest.raises(ContractError, match="row"):
+            encoder_forward(model, np.zeros((0, 3), dtype=np.int64))
+
     def test_taped_forward_size_independent_of_head_count(self):
         # heads are computed as one stacked block, so the tape does not grow with H
         lengths = set()
