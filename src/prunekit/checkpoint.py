@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configs import config_from_dict, config_to_dict, read_json
 from .errors import ContractError, CorruptionError
 from .model import Model, ModelConfig, checkpoint_views, empty_model
 
@@ -46,24 +47,18 @@ def save_model(model: Model, directory: str | Path) -> None:
     (directory / MANIFEST_FILE).write_text(
         json.dumps({"tensors": entries}, indent=2) + "\n")
     (directory / CONFIG_FILE).write_text(
-        json.dumps(model.config.to_dict(), indent=2) + "\n")
-
-
-def _read_json(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CorruptionError(f"{path.name} is not valid JSON: {exc}") from exc
+        json.dumps(config_to_dict(model.config), indent=2) + "\n")
 
 
 def load_model(directory: str | Path, requires_grad: bool = True) -> Model:
     """Load a checkpoint directory; raises CorruptionError on any inconsistency."""
     directory = Path(directory)
-    cfg = ModelConfig.from_dict(_read_json(directory / CONFIG_FILE))
-    manifest = _read_json(directory / MANIFEST_FILE)
-    entries = manifest.get("tensors")
-    if not isinstance(entries, list):
-        raise CorruptionError("manifest.json has no tensor list")
+    config_path = directory / CONFIG_FILE
+    cfg = config_from_dict(ModelConfig, read_json(config_path, CorruptionError),
+                           source=str(config_path))
+    entries = read_json(directory / MANIFEST_FILE, CorruptionError).get("tensors")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise CorruptionError("manifest.json has no list of tensor objects")
 
     model = empty_model(cfg, requires_grad)
     views = list(checkpoint_views(model))
@@ -74,7 +69,7 @@ def load_model(directory: str | Path, requires_grad: bool = True) -> Model:
     for entry, (name, view) in zip(entries, views):
         if entry.get("name") != name:
             raise CorruptionError(f"manifest tensor {entry.get('name')!r} where {name!r} expected")
-        if tuple(entry.get("shape", ())) != view.shape:
+        if entry.get("shape") != list(view.shape):
             raise CorruptionError(
                 f"tensor {name}: manifest shape {entry.get('shape')} does not match expected {list(view.shape)}")
         if entry.get("offset") != offset or entry.get("length") != view.nbytes:

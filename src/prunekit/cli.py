@@ -18,7 +18,8 @@ import time
 from pathlib import Path
 
 from .checkpoint import load_model
-from .configs import GeneralConfig, VocabularyPruningConfig, load_config
+from .configs import (GeneralConfig, TransformerPruningConfig, VocabularyPruningConfig,
+                      load_config, read_json)
 from .data import load_dataset
 from .diagnostics import inference_time, summary
 from .engine import (PruneReport, PruningMask, pipeline_prune, save_pruned_outputs,
@@ -139,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dir", required=True)
     p.add_argument("--reference-dir", help="also time this checkpoint and print the speedup")
     p.add_argument("--batch-size", type=_int_at_least(1), default=8)
-    p.add_argument("--seq-len", type=int, default=64)
+    p.add_argument("--seq-len", type=_int_at_least(1), default=64)
     p.add_argument("--warmup", type=_int_at_least(0), default=1)
     p.add_argument("--rounds", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
@@ -172,7 +173,8 @@ def _load_model_dir(path: str):
 
 
 def _general_config(args) -> GeneralConfig:
-    cfg = load_config(args.general_config, "general") if args.general_config else GeneralConfig()
+    cfg = load_config(args.general_config, GeneralConfig) if args.general_config \
+        else GeneralConfig()
     if args.output_dir:
         cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
     return cfg
@@ -190,7 +192,7 @@ def _load_cli_dataset(args, model, vocab):
 def _load_mask(args) -> PruningMask | None:
     if not getattr(args, "mask_json", None):
         return None
-    return PruningMask.from_dict(json.loads(Path(args.mask_json).read_text()))
+    return PruningMask.from_dict(read_json(args.mask_json))
 
 
 def _progress(iteration: int, total: int, heads: int, ffn: int) -> None:
@@ -217,7 +219,7 @@ def _finish(report: PruneReport, args, output_dir: str) -> int:
 def _cmd_prune_vocab(args) -> int:
     general = _general_config(args)
     model, vocab = _load_model_dir(args.model_dir)
-    vcfg = load_config(args.vocab_config, "vocabulary") if args.vocab_config \
+    vcfg = load_config(args.vocab_config, VocabularyPruningConfig) if args.vocab_config \
         else VocabularyPruningConfig()
     start = time.perf_counter()
     initial = count_parameters(model)
@@ -240,7 +242,7 @@ def _cmd_prune_vocab(args) -> int:
 def _cmd_prune_transformer(args) -> int:
     general = _general_config(args)
     model, vocab = _load_model_dir(args.model_dir)
-    tcfg = load_config(args.transformer_config, "transformer")
+    tcfg = load_config(args.transformer_config, TransformerPruningConfig)
     mask = _load_mask(args)
     dataset = _load_cli_dataset(args, model, vocab)
     if tcfg.pruning_method == "iterative" and dataset is None:
@@ -256,8 +258,8 @@ def _cmd_prune_transformer(args) -> int:
 def _cmd_prune_pipeline(args) -> int:
     general = _general_config(args)
     model, vocab = _load_model_dir(args.model_dir)
-    tcfg = load_config(args.transformer_config, "transformer")
-    vcfg = load_config(args.vocab_config, "vocabulary") if args.vocab_config \
+    tcfg = load_config(args.transformer_config, TransformerPruningConfig)
+    vcfg = load_config(args.vocab_config, VocabularyPruningConfig) if args.vocab_config \
         else VocabularyPruningConfig()
     mask = _load_mask(args)
     dataset = _load_cli_dataset(args, model, vocab)

@@ -1,8 +1,10 @@
 """Run configuration dataclasses and strict JSON parsing.
 
-Three config kinds: general (device/output), vocabulary pruning, and
-transformer pruning. Parsing rejects unknown keys by name, type-checks
-every value, and reports the line number for malformed JSON.
+Three run config kinds: general (device/output), vocabulary pruning, and
+transformer pruning. Every JSON file prunekit reads goes through read_json,
+which reports the line number for malformed JSON; config_from_dict rejects
+unknown keys by name and type-checks every value, for run configs and for
+a checkpoint's ModelConfig alike.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, PrunekitError
 
 PRUNING_METHODS = ("iterative", "mask")
 GRANULARITIES = ("batch", "example")
@@ -73,17 +75,22 @@ class TransformerPruningConfig:
             raise ConfigError("multiple_of > 1 requires ffn_even_masking to be false")
 
 
-CONFIG_KINDS = {
-    "general": GeneralConfig,
-    "vocabulary": VocabularyPruningConfig,
-    "transformer": TransformerPruningConfig,
-}
+def read_json(path: str | Path, error: type[PrunekitError] = ConfigError) -> dict:
+    """Read a UTF-8 JSON file holding one object; anything else raises error."""
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def config_from_dict(cls, data: dict, source: str = "config"):
     """Build a config dataclass from a dict with strict key/type checking."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: expected a JSON object, got {type(data).__name__}")
     hints = get_type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(fields))
@@ -108,19 +115,15 @@ def config_from_dict(cls, data: dict, source: str = "config"):
         if not ok:
             raise ConfigError(f"{source}: key {name!r} must be {want.__name__}, "
                               f"got {type(value).__name__}")
-    return cls(**data)
-
-
-def load_config(path: str | Path, kind: str):
-    """Parse one JSON config file of the given kind."""
-    if kind not in CONFIG_KINDS:
-        raise ConfigError(f"unknown config kind {kind!r}")
-    path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(CONFIG_KINDS[kind], data, source=str(path))
+        return cls(**data)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
+def load_config(path: str | Path, cls):
+    """Parse one JSON config file into the config dataclass cls."""
+    return config_from_dict(cls, read_json(path), source=str(path))
 
 
 def config_to_dict(cfg) -> dict:

@@ -89,6 +89,8 @@ def _drop_counts(quota: int | Sequence[int], scores: list[np.ndarray], even: boo
     """
     L = len(scores)
     if not isinstance(quota, (int, np.integer)):
+        if len(quota) != L:
+            raise ConfigError(f"{what} quota lists {len(quota)} layers, the model has {L}")
         return [int(q) for q in quota]
     if quota < 0:
         raise ConfigError(f"{what} quota must be >= 0, got {quota}")

@@ -58,12 +58,13 @@ class ModelConfig:
     lm_vocab_size: int = field(default=-1)
 
     def __post_init__(self):
-        if isinstance(self.num_heads, int):
-            self.num_heads = [self.num_heads] * self.num_layers
-        if isinstance(self.ffn_size, int):
-            self.ffn_size = [self.ffn_size] * self.num_layers
-        self.num_heads = list(self.num_heads)
-        self.ffn_size = list(self.ffn_size)
+        for name in ("num_heads", "ffn_size"):
+            widths = getattr(self, name)
+            if isinstance(widths, int):
+                widths = [widths] * self.num_layers
+            if not isinstance(widths, (list, tuple)):
+                raise ConfigError(f"{name} must be an int or a list of ints, got {widths!r}")
+            setattr(self, name, list(widths))
         if self.lm_vocab_size < 0:
             self.lm_vocab_size = self.vocab_size if self.has_lm_head else 0
         self.validate()
@@ -81,33 +82,6 @@ class ModelConfig:
                 raise ConfigError(f"{label} entries must be non-negative integers, got {widths}")
         if not self.has_lm_head and self.lm_vocab_size not in (0, self.vocab_size):
             raise ConfigError("lm_vocab_size is only meaningful with has_lm_head")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "hidden_size": self.hidden_size,
-            "head_size": self.head_size,
-            "num_heads": list(self.num_heads),
-            "ffn_size": list(self.ffn_size),
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "num_labels": self.num_labels,
-            "has_lm_head": self.has_lm_head,
-            "lm_head_tied": self.lm_head_tied,
-            "lm_vocab_size": self.lm_vocab_size,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        missing = {"num_layers", "hidden_size", "head_size", "num_heads", "ffn_size",
-                   "vocab_size", "max_seq_len", "num_labels"} - set(d)
-        if missing:
-            raise ConfigError(f"model config missing keys: {sorted(missing)}")
-        return cls(**d)
 
 
 _HEAD_FIELDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")

@@ -201,11 +201,8 @@ def compute_scores(model: Model, dataset: Dataset, loss_spec: LossSpec,
             ids, labels, ref, label = unit
             return _unit_scores(model, loss_spec, ids, labels, ref, label)
 
-        if threads == 1:
-            results = [run(u) for u in units]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, units))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, units))
 
     head_totals = [np.zeros(len(layer.heads)) for layer in model.layers]
     ffn_totals = [np.zeros(layer.b1.shape[0]) for layer in model.layers]

@@ -4,6 +4,7 @@ alias, and agreement between CLI flags and the underlying API."""
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestPruneTransformer:
                           max_len=64, labeled=True)
         transformer_prune(model, ds, TransformerPruningConfig(**TRM_CFG))
         cli_model = load_model(out)
-        assert cli_model.config.to_dict() == model.config.to_dict()
+        assert cli_model.config == model.config
         np.testing.assert_array_equal(cli_model.embedding.data, model.embedding.data)
         np.testing.assert_array_equal(cli_model.layers[0].w1.data,
                                       model.layers[0].w1.data)
@@ -260,6 +261,7 @@ class TestExitCodes:
         ("prune-pipeline", "--subsample", "1.5"),
         ("bench", "--rounds", "0"),
         ("bench", "--warmup", "-1"),
+        ("bench", "--seq-len", "0"),
     ])
     def test_out_of_range_flag_is_2(self, command, flag, value, fixture_dir,
                                     trm_config_path, tmp_path, capsys):
@@ -291,3 +293,32 @@ class TestExitCodes:
                         "--output-dir", str(tmp_path / "y")])
         assert code == 2
         capsys.readouterr()
+
+    # a damaged checkpoint file exits 1; a checkpoint schema error and a bad mask exit 2
+    @pytest.mark.parametrize("name,damage,code", [
+        ("manifest.json", lambda raw: b"[1, 2]", 1),
+        ("manifest.json", lambda raw: json.dumps(
+            {"tensors": [1] + json.loads(raw)["tensors"][1:]}).encode(), 1),
+        ("config.json", lambda raw: json.dumps({**json.loads(raw), "num_heads": None}).encode(), 2),
+        ("config.json", lambda raw: b"\xff" + raw, 1),
+        ("mask.json", lambda raw: raw[:len(raw) // 2], 2),
+    ], ids=["manifest-array", "manifest-entries", "config-null-heads", "config-not-utf8",
+            "mask-truncated"])
+    def test_malformed_json_is_typed_error(self, name, damage, code, fixture_dir,
+                                           tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(fixture_dir / "model", model)
+        cfg_path = tmp_path / "t.json"
+        cfg_path.write_text(json.dumps({"target_num_of_heads": 2, "target_ffn_size": 32,
+                                        "pruning_method": "mask"}))
+        (tmp_path / "mask.json").write_text(json.dumps(
+            {"head_keep": [[True, True, False, False]] * 2, "ffn_keep": [[True] * 64] * 2}))
+        path = (tmp_path if name == "mask.json" else model) / name
+        path.write_bytes(damage(path.read_bytes()))
+        assert run_cli(["prune-transformer", "--model-dir", str(model),
+                        "--transformer-config", str(cfg_path),
+                        "--mask-json", str(tmp_path / "mask.json"),
+                        "--output-dir", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()

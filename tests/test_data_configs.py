@@ -81,7 +81,7 @@ class TestConfigParsing:
                 "score_granularity": "example"}
         path = tmp_path / "t.json"
         path.write_text(json.dumps(data))
-        cfg = load_config(path, "transformer")
+        cfg = load_config(path, TransformerPruningConfig)
         assert config_to_dict(cfg) == data
         assert config_from_dict(TransformerPruningConfig, config_to_dict(cfg)) == cfg
 
@@ -109,19 +109,13 @@ class TestConfigParsing:
         path = tmp_path / "bad.json"
         path.write_text('{\n  "min_count": 2,\n  "prune_lm_head": tru\n}\n')
         with pytest.raises(ConfigError, match="line 3"):
-            load_config(path, "vocabulary")
+            load_config(path, VocabularyPruningConfig)
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="object"):
-            load_config(path, "general")
-
-    def test_unknown_kind(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text("{}")
-        with pytest.raises(ConfigError, match="kind"):
-            load_config(path, "optimizer")
+            load_config(path, GeneralConfig)
 
 
 class TestLoadDataset:

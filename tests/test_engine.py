@@ -217,6 +217,17 @@ class TestSelectTargets:
             select_targets(t3, mask3, [0] * 4, 4,
                            cfg(ffn_even_masking=False, multiple_of=4))
 
+    @pytest.mark.parametrize("heads,ffn,what,given", [
+        ([1], [0, 0], "head", 1), ([1, 1, 1], [0, 0], "head", 3),
+        ([0, 0], [1], "ffn", 1), ([0, 0], [1, 1, 1], "ffn", 3),
+    ])
+    def test_sequence_quota_length_must_match_layers(self, heads, ffn, what, given):
+        mask = PruningMask.all_keep([4, 4], [4, 4])
+        t = table([[1, 2, 3, 4]] * 2, [[1, 2, 3, 4]] * 2)
+        with pytest.raises(ConfigError, match=f"{what} quota lists {given} layers, "
+                                              f"the model has 2"):
+            select_targets(t, mask, heads, ffn, cfg())
+
 
 class TestQuotaSchedules:
     def test_even_homogeneous(self):

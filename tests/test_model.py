@@ -13,6 +13,7 @@ from scipy.special import erf
 
 from conftest import gates_from_drops, toy
 from prunekit.checkpoint import load_model, save_model
+from prunekit.configs import config_from_dict, config_to_dict
 from prunekit.errors import (ConfigError, ContractError, CorruptionError,
                              InvalidIndexError, ShapeError, VocabularyError)
 from prunekit.fixtures import FixtureSpec, build_model
@@ -396,10 +397,14 @@ class TestCounting:
         with pytest.raises(ConfigError):
             ModelConfig(num_layers=2, hidden_size=32, head_size=8, num_heads=[4],
                         ffn_size=[64, 64], vocab_size=64, max_seq_len=64, num_labels=3)
-        with pytest.raises(ConfigError):
-            ModelConfig.from_dict({"num_layers": 1})
-        with pytest.raises(ConfigError):
-            ModelConfig.from_dict({**toy()[0].config.to_dict(), "bogus": 1})
+        with pytest.raises(ConfigError, match="missing required key"):
+            config_from_dict(ModelConfig, {"num_layers": 1})
+        with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+            config_from_dict(ModelConfig, {**config_to_dict(toy()[0].config), "bogus": 1})
+        for widths in (None, "4", 4.0):
+            with pytest.raises(ConfigError, match="num_heads must be an int or a list"):
+                ModelConfig(num_layers=2, hidden_size=32, head_size=8, num_heads=widths,
+                            ffn_size=64, vocab_size=64, max_seq_len=64, num_labels=3)
 
     def test_lm_head_param_accounting(self):
         tied, _, _ = toy(has_lm_head=True, lm_head_tied=True)
