@@ -49,28 +49,24 @@ def _resolve_mode_alias(argv: list[str]) -> list[str]:
     return out
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low; a bad value exits 2 like any flag error."""
-    def parse(text: str) -> int:
+def _checked(convert, ok, expected: str):
+    """argparse type: convert(text) if ok accepts it; else a flag error (exit 2)."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
             value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
     return parse
 
 
-def _fraction(text: str) -> float:
-    """argparse type: a float in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text!r}")
-    return value
+def _int_at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -78,7 +74,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-dir", help="where to write the pruned model (overrides general config)")
     p.add_argument("--general-config", help="general config JSON (device, output_dir)")
     p.add_argument("--report-json", help="also write the prune report to this path")
-    p.add_argument("--threads", type=_int_at_least(1), default=1, help="scoring threads")
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -88,7 +83,7 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
                        help="dataset rows are label<TAB>text (default)")
     group.add_argument("--unlabeled", dest="labeled", action="store_false",
                        help="dataset rows are raw text")
-    p.add_argument("--seed", type=int, default=0, help="subsampling seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="subsampling seed")
     p.add_argument("--subsample", type=_fraction, default=1.0, help="fraction of examples to keep")
     p.add_argument("--batch-size", type=_int_at_least(1), default=8)
     p.add_argument("--max-len", type=_int_at_least(2),
@@ -106,6 +101,7 @@ def _add_transformer_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--transformer-config", required=True, help="transformer pruning config JSON")
     p.add_argument("--mask-json", help="externally supplied pruning mask (method 'mask')")
     p.add_argument("--scores-json", help="write final-iteration importance scores here")
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="scoring threads")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,22 +139,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-len", type=_int_at_least(1), default=64)
     p.add_argument("--warmup", type=_int_at_least(0), default=1)
     p.add_argument("--rounds", type=_int_at_least(1), default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("make-fixture", help="generate a random model, vocab, corpus and dataset")
+    # defaults live in FixtureSpec: a flag that is not given sets nothing
+    p = sub.add_parser("make-fixture", help="generate a random model, vocab, corpus and dataset",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--ffn", type=int, default=64)
-    p.add_argument("--vocab-size", type=int, default=64)
-    p.add_argument("--max-seq-len", type=int, default=64)
-    p.add_argument("--labels", type=int, default=3)
-    p.add_argument("--lm-head", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corpus-lines", type=int, default=40)
-    p.add_argument("--dataset-rows", type=int, default=32)
+    p.add_argument("--layers", dest="num_layers", type=int)
+    p.add_argument("--hidden", dest="hidden_size", type=int)
+    p.add_argument("--heads", dest="num_heads", type=int)
+    p.add_argument("--ffn", dest="ffn_size", type=int)
+    p.add_argument("--vocab-size", type=int)
+    p.add_argument("--max-seq-len", type=int)
+    p.add_argument("--labels", dest="num_labels", type=int)
+    p.add_argument("--lm-head", dest="has_lm_head", action="store_true")
+    p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument("--corpus-lines", type=int)
+    p.add_argument("--dataset-rows", type=int)
     p.set_defaults(func=_cmd_make_fixture)
     return parser
 
@@ -172,27 +170,31 @@ def _load_model_dir(path: str):
     return load_model(model_dir), Vocabulary.from_file(model_dir / "vocab.txt")
 
 
+def _config(path: str | None, cls):
+    """The config in path, or cls's defaults when no file is given."""
+    return load_config(path, cls) if path else cls()
+
+
 def _general_config(args) -> GeneralConfig:
-    cfg = load_config(args.general_config, GeneralConfig) if args.general_config \
-        else GeneralConfig()
+    cfg = _config(args.general_config, GeneralConfig)
     if args.output_dir:
         cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
     return cfg
 
 
-def _load_cli_dataset(args, model, vocab):
-    if not args.dataset:
-        return None
-    max_len = args.max_len or min(model.config.max_seq_len, 128)
-    return load_dataset(args.dataset, vocab, batch_size=args.batch_size,
-                        max_len=max_len, labeled=args.labeled,
-                        subsample=args.subsample, seed=args.seed)
-
-
-def _load_mask(args) -> PruningMask | None:
-    if not getattr(args, "mask_json", None):
-        return None
-    return PruningMask.from_dict(read_json(args.mask_json))
+def _prune_inputs(args, model, vocab):
+    """The transformer config, the mask and the dataset of a transformer prune."""
+    tcfg = load_config(args.transformer_config, TransformerPruningConfig)
+    mask = PruningMask.from_dict(read_json(args.mask_json)) if args.mask_json else None
+    dataset = None
+    if args.dataset:
+        max_len = args.max_len or min(model.config.max_seq_len, 128)
+        dataset = load_dataset(args.dataset, vocab, batch_size=args.batch_size,
+                               max_len=max_len, labeled=args.labeled,
+                               subsample=args.subsample, seed=args.seed)
+    elif tcfg.pruning_method == "iterative":
+        raise ConfigError("iterative pruning requires --dataset")
+    return tcfg, mask, dataset
 
 
 def _progress(iteration: int, total: int, heads: int, ffn: int) -> None:
@@ -200,7 +202,15 @@ def _progress(iteration: int, total: int, heads: int, ffn: int) -> None:
           file=sys.stderr)
 
 
-def _finish(report: PruneReport, args, output_dir: str) -> int:
+def _finish(args, output_dir: str, model, vocab, report: PruneReport) -> int:
+    """Save the pruned model, then print what the report says was pruned."""
+    save_pruned_outputs(output_dir, model, vocab, report)
+    if report.method != "vocabulary":
+        print(f"heads per layer: {report.final_num_heads}")
+        print(f"ffn width per layer: {report.final_ffn_size}")
+    if report.vocabulary is not None:
+        print(f"vocabulary: {report.vocabulary['initial_size']} -> "
+              f"{report.vocabulary['final_size']} tokens")
     if args.report_json:
         report.save(args.report_json)
     if getattr(args, "scores_json", None):
@@ -219,60 +229,39 @@ def _finish(report: PruneReport, args, output_dir: str) -> int:
 def _cmd_prune_vocab(args) -> int:
     general = _general_config(args)
     model, vocab = _load_model_dir(args.model_dir)
-    vcfg = load_config(args.vocab_config, VocabularyPruningConfig) if args.vocab_config \
-        else VocabularyPruningConfig()
+    vcfg = _config(args.vocab_config, VocabularyPruningConfig)
     start = time.perf_counter()
     initial = count_parameters(model)
     model, vocab, vreport = vocabulary_prune(model, vocab, args.corpus, vcfg,
                                              pre_tokenized=args.pre_tokenized)
+    heads, ffn = list(model.config.num_heads), list(model.config.ffn_size)
     report = PruneReport(
         method="vocabulary", initial_parameters=initial,
-        final_parameters=count_parameters(model),
-        original_num_heads=list(model.config.num_heads),
-        original_ffn_size=list(model.config.ffn_size),
-        final_num_heads=list(model.config.num_heads),
-        final_ffn_size=list(model.config.ffn_size),
-        iterations=[], mask=None, elapsed_seconds=time.perf_counter() - start,
-        vocabulary=vreport)
-    save_pruned_outputs(general.output_dir, model, vocab, report)
-    print(f"vocabulary: {vreport['initial_size']} -> {vreport['final_size']} tokens")
-    return _finish(report, args, general.output_dir)
+        final_parameters=count_parameters(model), original_num_heads=heads,
+        original_ffn_size=ffn, final_num_heads=heads, final_ffn_size=ffn, iterations=[],
+        mask=None, elapsed_seconds=time.perf_counter() - start, vocabulary=vreport)
+    return _finish(args, general.output_dir, model, vocab, report)
 
 
 def _cmd_prune_transformer(args) -> int:
     general = _general_config(args)
     model, vocab = _load_model_dir(args.model_dir)
-    tcfg = load_config(args.transformer_config, TransformerPruningConfig)
-    mask = _load_mask(args)
-    dataset = _load_cli_dataset(args, model, vocab)
-    if tcfg.pruning_method == "iterative" and dataset is None:
-        raise ConfigError("iterative pruning requires --dataset")
+    tcfg, mask, dataset = _prune_inputs(args, model, vocab)
     report = transformer_prune(model, dataset, tcfg, mask=mask,
                                threads=args.threads, progress=_progress)
-    save_pruned_outputs(general.output_dir, model, vocab, report)
-    print(f"heads per layer: {report.final_num_heads}")
-    print(f"ffn width per layer: {report.final_ffn_size}")
-    return _finish(report, args, general.output_dir)
+    return _finish(args, general.output_dir, model, vocab, report)
 
 
 def _cmd_prune_pipeline(args) -> int:
     general = _general_config(args)
     model, vocab = _load_model_dir(args.model_dir)
-    tcfg = load_config(args.transformer_config, TransformerPruningConfig)
-    vcfg = load_config(args.vocab_config, VocabularyPruningConfig) if args.vocab_config \
-        else VocabularyPruningConfig()
-    mask = _load_mask(args)
-    dataset = _load_cli_dataset(args, model, vocab)
-    if tcfg.pruning_method == "iterative" and dataset is None:
-        raise ConfigError("iterative pruning requires --dataset")
+    vcfg = _config(args.vocab_config, VocabularyPruningConfig)
+    tcfg, mask, dataset = _prune_inputs(args, model, vocab)
     model, vocab, report = pipeline_prune(
         model, vocab, args.corpus, dataset, general, vcfg, tcfg, mask=mask,
-        threads=args.threads, progress=_progress, pre_tokenized=args.pre_tokenized)
-    print(f"heads per layer: {report.final_num_heads}")
-    print(f"ffn width per layer: {report.final_ffn_size}")
-    print(f"vocabulary: {report.vocabulary['initial_size']} -> "
-          f"{report.vocabulary['final_size']} tokens")
-    return _finish(report, args, general.output_dir)
+        threads=args.threads, progress=_progress, pre_tokenized=args.pre_tokenized,
+        save=False)
+    return _finish(args, general.output_dir, model, vocab, report)
 
 
 def _cmd_summary(args) -> int:
@@ -302,11 +291,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_make_fixture(args) -> int:
-    spec = FixtureSpec(
-        num_layers=args.layers, hidden_size=args.hidden, num_heads=args.heads,
-        ffn_size=args.ffn, vocab_size=args.vocab_size, max_seq_len=args.max_seq_len,
-        num_labels=args.labels, has_lm_head=args.lm_head, seed=args.seed,
-        corpus_lines=args.corpus_lines, dataset_rows=args.dataset_rows)
+    given = vars(args)
+    spec = FixtureSpec(**{f.name: given[f.name] for f in dataclasses.fields(FixtureSpec)
+                          if f.name in given})
     paths = make_fixture(args.out, spec)
     for key, path in paths.items():
         print(f"{key}: {path}")
@@ -315,26 +302,13 @@ def _cmd_make_fixture(args) -> int:
 
 def run_cli(argv: list[str]) -> int:
     try:
-        argv = _resolve_mode_alias(list(argv))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(_resolve_mode_alias(list(argv)))
         return args.func(args)
-    except ConfigError as exc:
+    except SystemExit as exc:  # argparse has already printed its message
+        return int(exc.code or 0)
+    except (PrunekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrunekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def main() -> None:

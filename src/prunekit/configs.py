@@ -1,10 +1,10 @@
 """Run configuration dataclasses and strict JSON parsing.
 
 Three run config kinds: general (device/output), vocabulary pruning, and
-transformer pruning. Every JSON file prunekit reads goes through read_json,
-which reports the line number for malformed JSON; config_from_dict rejects
-unknown keys by name and type-checks every value, for run configs and for
-a checkpoint's ModelConfig alike.
+transformer pruning. Whole text files are read through read_text and JSON
+files through read_json, which name the file and the bad byte or line;
+config_from_dict rejects unknown keys by name and type-checks every value,
+for run configs and for a checkpoint's ModelConfig alike.
 """
 
 from __future__ import annotations
@@ -75,13 +75,19 @@ class TransformerPruningConfig:
             raise ConfigError("multiple_of > 1 requires ffn_even_masking to be false")
 
 
+def read_text(path: str | Path, error: type[PrunekitError] = ConfigError) -> str:
+    """Read a UTF-8 text file; bytes that are not UTF-8 raise error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+
+
 def read_json(path: str | Path, error: type[PrunekitError] = ConfigError) -> dict:
     """Read a UTF-8 JSON file holding one object; anything else raises error."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+        data = json.loads(read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):

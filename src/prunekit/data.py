@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configs import read_text
 from .errors import ContractError, DataError
 from .vocab import Vocabulary, tokenize
 
@@ -55,7 +56,7 @@ def load_dataset(path: str | Path, vocab: Vocabulary, *, batch_size: int,
         raise ContractError(f"subsample must be in (0, 1], got {subsample}")
 
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, DataError).splitlines()
     examples: list[tuple[list[int], int | None]] = []
     for row, line in enumerate(lines, start=1):
         if labeled:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -25,7 +25,7 @@ from .data import Dataset
 from .errors import ConfigError, ContractError, ShapeError
 from .model import (Model, count_parameters, remove_ffn_neurons, remove_heads,
                     remove_vocab_rows)
-from .scoring import KL_DIVERGENCE, LossSpec, ScoreTable, compute_scores, reference_logits
+from .scoring import LossSpec, ScoreTable, compute_scores, reference_logits
 from .vocab import Vocabulary, count_corpus_tokens, reindex
 
 ProgressFn = Callable[[int, int, int, int], None]
@@ -193,20 +193,10 @@ class PruneReport:
     last_scores: ScoreTable | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "initial_parameters": self.initial_parameters,
-            "final_parameters": self.final_parameters,
-            "original_num_heads": self.original_num_heads,
-            "original_ffn_size": self.original_ffn_size,
-            "final_num_heads": self.final_num_heads,
-            "final_ffn_size": self.final_ffn_size,
-            "iterations": self.iterations,
-            "mask": self.mask.to_dict() if self.mask is not None else None,
-            "elapsed_seconds": self.elapsed_seconds,
-            "config": self.config,
-            "vocabulary": self.vocabulary,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        if self.mask is not None:
+            out["mask"] = self.mask.to_dict()
+        return out
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -240,17 +230,15 @@ def _quota_schedules(cfg: TransformerPruningConfig, widths: list[int],
 
 def transformer_prune(model: Model, dataset: Dataset | None,
                       cfg: TransformerPruningConfig, *,
-                      loss_spec: LossSpec | None = None,
                       mask: PruningMask | None = None,
                       threads: int = 1,
                       progress: ProgressFn | None = None) -> PruneReport:
     """Prune heads and FFN neurons to the configured targets.
 
-    Both methods run the same loop: the mask method applies the given mask
-    as its one step. Iterative mode scores on the dataset each iteration,
-    except in iterations with nothing to drop. Self-supervised
-    scoring caches reference logits from the model as it stands on entry
-    and keeps that reference for every iteration.
+    Both methods run the same loop: the mask method, the only one that takes
+    a mask, applies it as its one step. Iterative mode scores on the dataset
+    each iteration, except in iterations with nothing to drop. use_logits
+    scores by KL against reference logits of the model as it stands on entry.
     """
     start = time.perf_counter()
     initial = count_parameters(model)
@@ -270,12 +258,13 @@ def transformer_prune(model: Model, dataset: Dataset | None,
                 raise ShapeError(f"layer {l}: mask widths do not match model widths")
         n_steps = 1
     else:
+        if mask is not None:
+            raise ConfigError("a pruning mask requires pruning_method 'mask', "
+                              f"got {cfg.pruning_method!r}")
         if dataset is None or len(dataset) == 0:
             raise ContractError("iterative pruning requires a non-empty dataset")
-        if loss_spec is None:
-            loss_spec = LossSpec.self_supervised() if cfg.use_logits else LossSpec.supervised()
-        if loss_spec.kind == KL_DIVERGENCE and loss_spec.reference_logits is None:
-            loss_spec = LossSpec.self_supervised(reference_logits(model, dataset))
+        loss_spec = (LossSpec.self_supervised(reference_logits(model, dataset))
+                     if cfg.use_logits else LossSpec.supervised())
         head_sched = _quota_schedules(cfg, orig_heads, "head")
         ffn_sched = _quota_schedules(cfg, orig_ffn, "ffn")
         n_steps = cfg.n_iters
@@ -365,7 +354,6 @@ def pipeline_prune(model: Model, vocab: Vocabulary, corpus_path: str | Path,
                    general_cfg: GeneralConfig,
                    vocab_cfg: VocabularyPruningConfig,
                    trm_cfg: TransformerPruningConfig, *,
-                   loss_spec: LossSpec | None = None,
                    mask: PruningMask | None = None,
                    threads: int = 1,
                    progress: ProgressFn | None = None,
@@ -373,8 +361,8 @@ def pipeline_prune(model: Model, vocab: Vocabulary, corpus_path: str | Path,
                    save: bool = True) -> tuple[Model, Vocabulary, PruneReport]:
     """Transformer pruning followed by vocabulary pruning, then save outputs."""
     start = time.perf_counter()
-    report = transformer_prune(model, dataset, trm_cfg, loss_spec=loss_spec,
-                               mask=mask, threads=threads, progress=progress)
+    report = transformer_prune(model, dataset, trm_cfg, mask=mask, threads=threads,
+                               progress=progress)
     model, vocab, vocab_report = vocabulary_prune(model, vocab, corpus_path, vocab_cfg,
                                                   pre_tokenized=pre_tokenized)
     report.vocabulary = vocab_report

@@ -37,29 +37,25 @@ def subsample_score_stability(model: Model, vocab: Vocabulary,
     if loss_spec is None:
         loss_spec = LossSpec.supervised()
 
-    full_ds = load_dataset(dataset_path, vocab, batch_size=batch_size,
-                           max_len=max_len, labeled=labeled, subsample=1.0, seed=seed)
-    full = compute_scores(model, full_ds, loss_spec, granularity=granularity,
-                          threads=threads).flattened()
-
-    num_examples, correlations = [], []
-    for frac in fractions:
+    def scores(frac: float) -> tuple[int, np.ndarray]:
         ds = load_dataset(dataset_path, vocab, batch_size=batch_size,
                           max_len=max_len, labeled=labeled, subsample=frac, seed=seed)
-        table = compute_scores(model, ds, loss_spec, granularity=granularity,
-                               threads=threads)
-        num_examples.append(ds.num_examples)
-        if frac == 1.0:
-            correlations.append(1.0 if np.array_equal(table.flattened(), full) else
-                                float(spearmanr(table.flattened(), full).statistic))
-        else:
-            correlations.append(float(spearmanr(table.flattened(), full).statistic))
+        table = compute_scores(model, ds, loss_spec, granularity=granularity, threads=threads)
+        return ds.num_examples, table.flattened()
+
+    # the full data is scored once; fraction 1.0 reuses it and correlates exactly
+    total, full = scores(1.0)
+    num_examples, correlations = [], []
+    for frac in fractions:
+        n, flat = (total, full) if frac == 1.0 else scores(frac)
+        num_examples.append(n)
+        correlations.append(1.0 if frac == 1.0 else float(spearmanr(flat, full).statistic))
     return {
         "dataset": str(dataset_path),
         "seed": seed,
         "granularity": granularity,
         "loss_kind": loss_spec.kind,
-        "total_examples": full_ds.num_examples,
+        "total_examples": total,
         "fractions": fractions,
         "num_examples": num_examples,
         "spearman_vs_full": correlations,

@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, InvalidIndexError, VocabularyError
+from .configs import read_text
+from .errors import ContractError, DataError, InvalidIndexError, VocabularyError
 
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 MAX_WORD_CHARS = 100
@@ -88,7 +89,7 @@ class Vocabulary:
 
     @classmethod
     def from_file(cls, path: str | Path, normalize: bool = False) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path, VocabularyError).splitlines()
         for i, line in enumerate(lines, start=1):
             if not line.strip():
                 raise VocabularyError(f"{path}: blank token at line {i}")
@@ -139,14 +140,17 @@ def count_corpus_tokens(vocab: Vocabulary, path: str | Path,
     (unknown items count as [UNK]) instead of running WordPiece.
     """
     counts = np.zeros(len(vocab), dtype=np.int64)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if pre_tokenized:
-                ids = [vocab.id_of(t) if t in vocab else vocab.unk_id for t in line.split()]
-            else:
-                ids = tokenize(vocab, line)
-            for i in ids:
-                counts[i] += 1
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                if pre_tokenized:
+                    ids = [vocab.id_of(t) if t in vocab else vocab.unk_id for t in line.split()]
+                else:
+                    ids = tokenize(vocab, line)
+                for i in ids:
+                    counts[i] += 1
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text") from exc
     return counts
 
 

@@ -3,6 +3,7 @@ alias, and agreement between CLI flags and the underlying API."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 
@@ -190,6 +191,31 @@ class TestPruneVocabAndPipeline:
         report = json.loads((out / "prune_report.json").read_text())
         assert report["vocabulary"]["final_size"] == len(vocab)
 
+    def test_pipeline_outputs_pinned(self, fixture_dir, trm_config_path, tmp_path, capsys):
+        # the weights are copied, never recomputed, and the closest drop decision of
+        # this run has a 0.37% relative score gap, so BLAS rounding cannot move the pin
+        out = tmp_path / "pinned"
+        assert run_cli(["prune-pipeline", "--model-dir", model_dir(fixture_dir),
+                        "--transformer-config", str(trm_config_path),
+                        "--corpus", str(fixture_dir / "corpus.txt"),
+                        "--dataset", str(fixture_dir / "dataset.tsv"),
+                        "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "prune_report.json").read_text())
+        report.pop("elapsed_seconds")
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("weights.bin", "manifest.json", "config.json", "vocab.txt")}
+        digests["prune_report.json"] = hashlib.sha256(
+            json.dumps(report, indent=2).encode()).hexdigest()
+        assert digests == {
+            "weights.bin": "fe1691373c2146af014fd781b6d8d8789a003a7814b06c43c749b5d42e1e8275",
+            "manifest.json": "d561c9ac23f146c714656fec841915548cf9e38cb5bb2ea95aa9bd19d5a132b1",
+            "config.json": "dd300f6dbd4e07910799668524ba86cd7713fec1b6d5241806cd1863304b75d8",
+            "vocab.txt": "dc5f8fdc4cadf6828381148dd9d83835895fd17ace09d20d472ea373171f8ffc",
+            "prune_report.json":
+                "27c65e723d6d5527c87c2afc80d39a0202d2826a84285f1ee066fd5bec5f4fcd",
+        }
+
     def test_pruning_mode_alias(self, fixture_dir, trm_config_path, tmp_path):
         out = tmp_path / "alias"
         code = run_cli(["--pruning_mode", "transformer",
@@ -239,6 +265,27 @@ class TestExitCodes:
         assert run_cli(["summary", "--model-dir", str(tmp_path / "empty")]) == 2
         assert "config.json" in capsys.readouterr().err
 
+    def test_mask_with_iterative_config_is_2(self, fixture_dir, trm_config_path, tmp_path,
+                                             capsys):
+        mask_path = tmp_path / "mask.json"
+        mask_path.write_text(json.dumps({"head_keep": [[True, True, False, False]] * 2,
+                                         "ffn_keep": [[True] * 32 + [False] * 32] * 2}))
+        code = run_cli(["prune-transformer", "--model-dir", model_dir(fixture_dir),
+                        "--transformer-config", str(trm_config_path),
+                        "--mask-json", str(mask_path),
+                        "--dataset", str(fixture_dir / "dataset.tsv"),
+                        "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_prune_vocab_rejects_threads(self, fixture_dir, tmp_path, capsys):
+        assert run_cli(["prune-vocab", "--model-dir", model_dir(fixture_dir),
+                        "--corpus", str(fixture_dir / "corpus.txt"), "--threads", "2",
+                        "--output-dir", str(tmp_path / "out")]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_iterative_without_dataset_is_2(self, fixture_dir, trm_config_path, capsys):
         code = run_cli(["prune-transformer", "--model-dir", model_dir(fixture_dir),
                         "--transformer-config", str(trm_config_path)])
@@ -262,11 +309,18 @@ class TestExitCodes:
         ("bench", "--rounds", "0"),
         ("bench", "--warmup", "-1"),
         ("bench", "--seq-len", "0"),
+        ("prune-transformer", "--seed", "-1"),
+        ("bench", "--seed", "-1"),
+        ("make-fixture", "--seed", "-1"),
     ])
     def test_out_of_range_flag_is_2(self, command, flag, value, fixture_dir,
                                     trm_config_path, tmp_path, capsys):
-        argv = [command, "--model-dir", model_dir(fixture_dir), flag, value]
-        if command != "bench":
+        argv = [command, flag, value]
+        if command == "make-fixture":
+            argv += ["--out", str(tmp_path / "out")]
+        else:
+            argv += ["--model-dir", model_dir(fixture_dir)]
+        if command.startswith("prune-"):
             argv += ["--transformer-config", str(trm_config_path),
                      "--dataset", str(fixture_dir / "dataset.tsv"),
                      "--output-dir", str(tmp_path / "out")]
@@ -321,4 +375,34 @@ class TestExitCodes:
                         "--output-dir", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    # text that is not UTF-8 exits 1: a DataError for a dataset or a corpus, a
+    # VocabularyError for vocab.txt
+    @pytest.mark.parametrize("command,name", [
+        ("prune-transformer", "dataset.tsv"),
+        ("summary", "vocab.txt"),
+        ("prune-vocab", "corpus.txt"),
+    ])
+    def test_text_not_utf8_is_typed_error(self, command, name, fixture_dir, tmp_path,
+                                          trm_config_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(fixture_dir / "model", model)
+        for text in ("dataset.tsv", "corpus.txt"):
+            shutil.copy(fixture_dir / text, tmp_path / text)
+        path = (model if name == "vocab.txt" else tmp_path) / name
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2] + b"\xff" + raw[len(raw) // 2:])
+        argv = [command, "--model-dir", str(model)]
+        if command == "prune-transformer":
+            argv += ["--transformer-config", str(trm_config_path),
+                     "--dataset", str(tmp_path / "dataset.tsv")]
+        if command == "prune-vocab":
+            argv += ["--corpus", str(tmp_path / "corpus.txt")]
+        if command != "summary":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "not UTF-8" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()

@@ -169,6 +169,12 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="row 2"):
             load_dataset(path, vocab, batch_size=2, max_len=8, labeled=True)
 
+    def test_not_utf8_is_data_error(self, vocab, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"0\talpha\n1\tbe\xfft\n")
+        with pytest.raises(DataError, match="not UTF-8 text at byte 12"):
+            load_dataset(path, vocab, batch_size=2, max_len=8, labeled=True)
+
     def test_empty_file_rejected(self, vocab, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("")

@@ -427,6 +427,16 @@ class TestTransformerPruneMask:
         with pytest.raises(ShapeError):
             transformer_prune(model, None, cfg(pruning_method="mask"), mask=bad2)
 
+    def test_mask_with_iterative_method_rejected(self, tmp_path):
+        model, vocab, spec = toy()
+        ds = tiny_dataset(tmp_path, vocab, spec)
+        before = {n: t.data.copy() for n, t in named_tensors(model)}
+        with pytest.raises(ConfigError, match="pruning_method 'mask'"):
+            transformer_prune(model, ds, cfg(target_num_of_heads=2, target_ffn_size=32),
+                              mask=PruningMask.from_model(model))
+        for n, t in named_tensors(model):
+            np.testing.assert_array_equal(t.data, before[n])
+
     def test_mask_monotonicity_enforced(self):
         model, _, _ = toy()
         old = PruningMask.from_model(model)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prunekit.errors import ContractError, InvalidIndexError, VocabularyError
+from prunekit.errors import ContractError, DataError, InvalidIndexError, VocabularyError
 from prunekit.vocab import (SPECIAL_TOKENS, Vocabulary, count_corpus_tokens,
                             reindex, tokenize)
 
@@ -102,6 +102,12 @@ class TestVocabulary:
         with pytest.raises(VocabularyError, match="line 3"):
             Vocabulary.from_file(path)
 
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"[PAD]\n[UNK]\n\xff\n[CLS]\n[SEP]\n[MASK]\n")
+        with pytest.raises(VocabularyError, match="not UTF-8 text at byte 12"):
+            Vocabulary.from_file(path)
+
 
 class TestCounting:
     def test_hand_counts(self, vocab, tmp_path):
@@ -142,6 +148,12 @@ class TestCounting:
         corpus = tmp_path / "c.txt"
         corpus.write_text("")
         assert count_corpus_tokens(vocab, corpus).sum() == 0
+
+    def test_not_utf8_is_data_error(self, vocab, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"the cat\n" * 5000 + b"the \xff cat\n")
+        with pytest.raises(DataError, match="c.txt: not UTF-8 text"):
+            count_corpus_tokens(vocab, corpus)
 
     def test_missing_file_raises_oserror(self, vocab, tmp_path):
         with pytest.raises(OSError):
