@@ -25,7 +25,7 @@ from .data import Dataset
 from .errors import ConfigError, ContractError, ShapeError
 from .model import (Model, count_parameters, remove_ffn_neurons, remove_heads,
                     remove_vocab_rows)
-from .scoring import LossSpec, ScoreTable, compute_scores, reference_logits
+from .scoring import LossSpec, ScoreTable, compute_scores
 from .vocab import Vocabulary, count_corpus_tokens, reindex
 
 ProgressFn = Callable[[int, int, int, int], None]
@@ -238,7 +238,11 @@ def transformer_prune(model: Model, dataset: Dataset | None,
     Both methods run the same loop: the mask method, the only one that takes
     a mask, applies it as its one step. Iterative mode scores on the dataset
     each iteration, except in iterations with nothing to drop. use_logits
-    scores by KL against reference logits of the model as it stands on entry.
+    scores by KL against reference logits of the model as it stands on entry:
+    the first scoring pass supplies them from its own taped forward, and
+    later iterations reuse them. That pass always sees the entry model,
+    because quotas are front-loaded: if iteration 1 drops nothing, no
+    later iteration does either.
     """
     start = time.perf_counter()
     initial = count_parameters(model)
@@ -263,8 +267,7 @@ def transformer_prune(model: Model, dataset: Dataset | None,
                               f"got {cfg.pruning_method!r}")
         if dataset is None or len(dataset) == 0:
             raise ContractError("iterative pruning requires a non-empty dataset")
-        loss_spec = (LossSpec.self_supervised(reference_logits(model, dataset))
-                     if cfg.use_logits else LossSpec.supervised())
+        loss_spec = LossSpec.self_supervised() if cfg.use_logits else LossSpec.supervised()
         head_sched = _quota_schedules(cfg, orig_heads, "head")
         ffn_sched = _quota_schedules(cfg, orig_ffn, "ffn")
         n_steps = cfg.n_iters
@@ -279,6 +282,8 @@ def transformer_prune(model: Model, dataset: Dataset | None,
             last_scores = compute_scores(model, dataset, loss_spec,
                                          granularity=cfg.score_granularity,
                                          threads=threads)
+            if cfg.use_logits:
+                loss_spec = LossSpec.self_supervised(last_scores.reference_logits)
             new_mask = select_targets(last_scores, cur_mask, head_sched[t], ffn_sched[t], cfg)
         heads_pruned, ffn_pruned = _apply_mask_delta(model, cur_mask, new_mask)
         iterations.append({"iteration": t + 1, "heads_pruned": heads_pruned,

@@ -44,6 +44,9 @@ class FixtureSpec:
         for name in ("num_heads", "corpus_lines", "dataset_rows"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_seq_len < 2:
+            raise ConfigError(f"max_seq_len must be >= 2 to fit [CLS] and [SEP], "
+                              f"got {self.max_seq_len}")
         if self.hidden_size % self.num_heads:
             raise ConfigError(f"hidden_size {self.hidden_size} not divisible by "
                               f"num_heads {self.num_heads}")

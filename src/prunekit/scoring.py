@@ -8,14 +8,15 @@ come from a single backward pass per batch with no weight updates.
 Two losses: supervised cross-entropy against dataset labels, and
 self-supervised KL(q || p) where q is a fixed reference distribution
 (typically the unpruned model's predictions) and gradients flow only
-through p.
+through p. Without given reference logits, each scoring unit's own taped
+logits serve as q, so no separate forward pass is needed.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +62,8 @@ class ScoreTable:
     granularity: str
     num_examples: int
     units_averaged: int
+    # per-batch KL reference logits the scores were computed against
+    reference_logits: list[np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def flattened(self) -> np.ndarray:
         parts = [s.reshape(-1) for s in self.head_scores] + \
@@ -134,15 +137,18 @@ def reference_logits(model: Model, dataset: Dataset) -> list[np.ndarray]:
 
 
 def _unit_scores(model: Model, spec: LossSpec, token_ids,
-                 labels, reference: np.ndarray | None,
-                 unit_label: str) -> tuple[list[np.ndarray], list[np.ndarray]]:
+                 labels, reference: np.ndarray | None, unit_label: str
+                 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
+    """Per-unit |dL/dgate| for one scoring unit, and the KL reference it used."""
     head_gates, ffn_gates = build_gates(model, requires_grad=True)
     tape = Tape()
     logits = task_forward(model, token_ids, head_gates, ffn_gates, tape)
     if spec.kind == CROSS_ENTROPY:
         loss = cross_entropy(logits, labels, tape)
     else:
-        if reference.shape != logits.shape:
+        if reference is None:
+            reference = logits.data
+        elif reference.shape != logits.shape:
             raise ShapeError(f"reference logits shape {reference.shape} does not match "
                              f"model logits {logits.shape} for {unit_label}")
         loss = kl_loss(Tensor(reference), logits, tape)
@@ -153,7 +159,7 @@ def _unit_scores(model: Model, spec: LossSpec, token_ids,
              for layer_gates in head_gates]
     ffns = [np.abs(g.grad) if g.grad is not None else np.zeros(g.shape)
             for g in ffn_gates]
-    return heads, ffns
+    return heads, ffns, reference
 
 
 def compute_scores(model: Model, dataset: Dataset, loss_spec: LossSpec,
@@ -164,6 +170,11 @@ def compute_scores(model: Model, dataset: Dataset, loss_spec: LossSpec,
     granularity "example" every example is processed as a singleton batch.
     The reduction runs in a fixed unit order, so thread count never changes
     the result.
+
+    KL scoring without given reference logits takes each unit's own taped
+    logits as q (at batch granularity these equal reference_logits bit for
+    bit). The table carries the per-batch reference it scored against, so
+    later calls can pass it back and keep the same q.
     """
     if granularity not in ("batch", "example"):
         raise ConfigError(f"granularity must be 'batch' or 'example', got {granularity!r}")
@@ -175,30 +186,28 @@ def compute_scores(model: Model, dataset: Dataset, loss_spec: LossSpec,
         raise ContractError("cross-entropy scoring requires a labeled dataset")
 
     references: list[np.ndarray | None] = [None] * len(dataset)
-    if loss_spec.kind == KL_DIVERGENCE:
-        if loss_spec.reference_logits is None:
-            references = reference_logits(model, dataset)
-        else:
-            if len(loss_spec.reference_logits) != len(dataset):
-                raise ContractError(
-                    f"{len(loss_spec.reference_logits)} reference batches for "
-                    f"{len(dataset)} dataset batches")
-            references = list(loss_spec.reference_logits)
+    if loss_spec.reference_logits is not None:
+        if len(loss_spec.reference_logits) != len(dataset):
+            raise ContractError(
+                f"{len(loss_spec.reference_logits)} reference batches for "
+                f"{len(dataset)} dataset batches")
+        references = list(loss_spec.reference_logits)
 
-    # one scoring unit = (token_ids, labels, reference, label) tuple
+    # one scoring unit = (batch index, token_ids, labels, reference, label) tuple
     units = []
     for bi, batch in enumerate(dataset):
         if granularity == "batch":
-            units.append((batch.token_ids, batch.labels, references[bi], f"batch {bi}"))
+            units.append((bi, batch.token_ids, batch.labels, references[bi], f"batch {bi}"))
         else:
             for ei in range(batch.size):
                 ref = references[bi][ei:ei + 1] if references[bi] is not None else None
                 labels = batch.labels[ei:ei + 1] if batch.labels is not None else None
-                units.append((batch.token_ids[ei:ei + 1], labels, ref, f"batch {bi} example {ei}"))
+                units.append((bi, batch.token_ids[ei:ei + 1], labels, ref,
+                              f"batch {bi} example {ei}"))
 
     with _frozen_weights(model):
         def run(unit):
-            ids, labels, ref, label = unit
+            _, ids, labels, ref, label = unit
             return _unit_scores(model, loss_spec, ids, labels, ref, label)
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -206,10 +215,15 @@ def compute_scores(model: Model, dataset: Dataset, loss_spec: LossSpec,
 
     head_totals = [np.zeros(len(layer.heads)) for layer in model.layers]
     ffn_totals = [np.zeros(layer.b1.shape[0]) for layer in model.layers]
-    for heads, ffns in results:
+    unit_refs: list[list[np.ndarray]] = [[] for _ in dataset]
+    for unit, (heads, ffns, ref) in zip(units, results):
         for l in range(len(head_totals)):
             head_totals[l] += heads[l]
             ffn_totals[l] += ffns[l]
+        unit_refs[unit[0]].append(ref)
+    used_references = None
+    if loss_spec.kind == KL_DIVERGENCE:
+        used_references = [np.concatenate(refs) for refs in unit_refs]
     n = len(units)
     return ScoreTable(
         head_scores=[t / n for t in head_totals],
@@ -218,4 +232,5 @@ def compute_scores(model: Model, dataset: Dataset, loss_spec: LossSpec,
         granularity=granularity,
         num_examples=dataset.num_examples,
         units_averaged=n,
+        reference_logits=used_references,
     )

@@ -4,7 +4,9 @@ Every differentiable operation takes an optional Tape. With tape=None the
 op just computes numpy results (inference mode, zero bookkeeping). With a
 tape, ops whose inputs require gradients append a backward closure; calling
 backward(tape, loss) replays the closures in reverse execution order and
-accumulates gradients additively into Tensor.grad. The caller resets
+accumulates gradients additively into Tensor.grad. Once an op's closure
+has run, its output's gradient is released, so after backward only the
+leaves (tensors no op produced) hold gradients. The caller resets leaf
 grads (grad = None) between backward passes.
 """
 
@@ -68,7 +70,11 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(input) into every recorded input's .grad."""
+    """Accumulate d(loss)/d(input) into every recorded input's .grad.
+
+    Every consumer of an op's output is recorded after it, so when the op's
+    closure runs its output gradient is complete and is then released.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if loss.grad is None:
@@ -79,14 +85,18 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if g is None:
             continue
         rec.fn(g)
+        rec.out.grad = None
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # copy: g may be a view that another gradient shares (add hands one
+        # buffer to both operands), and this grad is later added into in place
+        t.grad = np.array(g, dtype=np.float64, order="C").reshape(t.shape)
+    else:
+        t.grad += g
 
 
 def _record(tape: Tape | None, out: Tensor, inputs: Sequence[Tensor],
@@ -172,8 +182,10 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}") from exc
 
     def fn(g: np.ndarray) -> None:
-        _accumulate(a, _reduce_to(g, a.shape))
-        _accumulate(b, _reduce_to(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _reduce_to(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _reduce_to(g, b.shape))
 
     return _record(tape, out, (a, b), fn)
 
@@ -338,4 +350,4 @@ def merge_heads(x: Tensor, tape: Tape | None = None) -> Tensor:
 def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Sum every element down to a scalar tensor."""
     return _record(tape, Tensor(x.data.sum()), (x,),
-                   lambda g: _accumulate(x, np.broadcast_to(g, x.shape).copy()))
+                   lambda g: _accumulate(x, np.broadcast_to(g, x.shape)))

@@ -97,6 +97,19 @@ class TestPruneTransformer:
         scores = json.loads(scores_path.read_text())
         assert len(scores["head_scores"]) == 2
 
+    def test_kl_scores_json_keys(self, fixture_dir, tmp_path):
+        cfg_path = tmp_path / "t.json"
+        cfg_path.write_text(json.dumps({**TRM_CFG, "use_logits": True}))
+        scores_path = tmp_path / "scores.json"
+        assert run_cli(["prune-transformer", "--model-dir", model_dir(fixture_dir),
+                        "--transformer-config", str(cfg_path),
+                        "--dataset", str(fixture_dir / "dataset.tsv"),
+                        "--output-dir", str(tmp_path / "pruned"),
+                        "--scores-json", str(scores_path)]) == 0
+        assert list(json.loads(scores_path.read_text())) == [
+            "loss_kind", "granularity", "num_examples", "units_averaged",
+            "head_scores", "ffn_scores"]
+
     def test_mask_json_and_reference_summary(self, fixture_dir, tmp_path, capsys):
         mask = {"head_keep": [[True, True, False, False]] * 2,
                 "ffn_keep": [[True] * 32 + [False] * 32] * 2}
@@ -298,6 +311,14 @@ class TestExitCodes:
     def test_make_fixture_zero_count_is_2(self, flag, field, tmp_path, capsys):
         assert run_cli(["make-fixture", "--out", str(tmp_path / "fx"), flag, "0"]) == 2
         assert f"error: {field} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "fx").exists()
+
+    @pytest.mark.parametrize("value", ["1", "0"])
+    def test_make_fixture_short_max_seq_len_is_2(self, value, tmp_path, capsys):
+        # the fixture's own dataset needs room for [CLS] and [SEP]
+        assert run_cli(["make-fixture", "--out", str(tmp_path / "fx"),
+                        "--max-seq-len", value]) == 2
+        assert "error: max_seq_len must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "fx").exists()
 
     @pytest.mark.parametrize("command,flag,value", [

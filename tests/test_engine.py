@@ -367,6 +367,37 @@ class TestTransformerPruneIterative:
         assert model.config.num_heads == [2, 2]
         assert report.config["use_logits"] is True
 
+    def test_kl_prune_runs_no_untaped_forward(self, tmp_path, monkeypatch):
+        # the first scoring pass is its own KL reference; every iteration
+        # after it scores against the logits of the model as it entered
+        import prunekit.engine as engine
+        import prunekit.scoring as scoring
+        model, vocab, spec = toy()
+        ds = tiny_dataset(tmp_path, vocab, spec, labeled=False)
+        entry_reference = scoring.reference_logits(model.clone(), ds)
+        forwards = {"untaped": 0, "taped": 0}
+        real_forward = scoring.task_forward
+
+        def counting_forward(model, token_ids, head_gates=None, ffn_gates=None, tape=None):
+            forwards["untaped" if tape is None else "taped"] += 1
+            return real_forward(model, token_ids, head_gates, ffn_gates, tape)
+
+        specs = []
+        real_scores = engine.compute_scores
+
+        def recording_scores(model, dataset, loss_spec, **kw):
+            specs.append(loss_spec.reference_logits)
+            return real_scores(model, dataset, loss_spec, **kw)
+
+        monkeypatch.setattr(scoring, "task_forward", counting_forward)
+        monkeypatch.setattr(engine, "compute_scores", recording_scores)
+        transformer_prune(model, ds, cfg(target_num_of_heads=2, target_ffn_size=32,
+                                         n_iters=3, use_logits=True))
+        assert forwards == {"untaped": 0, "taped": 3 * len(ds)}
+        assert specs[0] is None
+        for later in specs[1:]:
+            assert [r.tobytes() for r in later] == [r.tobytes() for r in entry_reference]
+
     def test_supervised_needs_labels(self, tmp_path):
         model, vocab, spec = toy()
         ds = tiny_dataset(tmp_path, vocab, spec, labeled=False)

@@ -14,7 +14,7 @@ from prunekit.errors import (ConfigError, ContractError, ShapeError)
 from prunekit.fixtures import build_dataset_rows
 from prunekit.model import build_gates, named_tensors, task_forward
 from prunekit.scoring import (LossSpec, ScoreTable, compute_scores, cross_entropy,
-                              kl_loss)
+                              kl_loss, reference_logits)
 from prunekit.tensor import Tape, Tensor, backward
 
 
@@ -197,6 +197,29 @@ class TestComputeScores:
         ds = tiny_dataset(tmp_path, vocab, spec)
         table = compute_scores(model, ds, LossSpec.self_supervised())
         assert np.abs(table.flattened()).max() < 1e-10
+
+    def test_kl_own_logits_equal_explicit_reference(self, tmp_path):
+        # at batch granularity the taped logits are the untaped reference, bit for bit
+        model, vocab, spec = toy()
+        ds = tiny_dataset(tmp_path, vocab, spec, rows=8, batch_size=4)
+        reference = reference_logits(model, ds)
+        own = compute_scores(model, ds, LossSpec.self_supervised())
+        given = compute_scores(model, ds, LossSpec.self_supervised(reference))
+        assert own.flattened().tobytes() == given.flattened().tobytes()
+        for table in (own, given):
+            assert [r.tobytes() for r in table.reference_logits] == \
+                [r.tobytes() for r in reference]
+
+    def test_returned_reference_per_batch(self, tmp_path):
+        model, vocab, spec = toy()
+        ds = tiny_dataset(tmp_path, vocab, spec, rows=6, batch_size=4)
+        table = compute_scores(model, ds, LossSpec.self_supervised(), granularity="example")
+        assert [r.shape for r in table.reference_logits] == \
+            [(b.size, spec.num_labels) for b in ds]
+        np.testing.assert_allclose(np.concatenate(table.reference_logits),
+                                   np.concatenate(reference_logits(model, ds)),
+                                   rtol=0, atol=1e-12)
+        assert compute_scores(model, ds, LossSpec.supervised()).reference_logits is None
 
     def test_batch_order_invariance(self, tmp_path):
         model, vocab, spec = toy()

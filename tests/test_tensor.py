@@ -304,13 +304,47 @@ class TestBackward:
         loss = forward(tape)
         backward(tape, loss)
         first = [p.grad.copy() for p in params]
-        # intermediate outputs keep their grads, so replay on a fresh tape
+        # replay on a fresh tape after resetting the leaf grads
         for p in params:
             p.grad = None
         tape = Tape()
         backward(tape, forward(tape))
         for before, p in zip(first, params):
             assert before.tobytes() == p.grad.tobytes()
+
+    def test_intermediate_grads_released_leaf_grads_kept(self):
+        x = Tensor(rng(24).normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng(25).normal(size=(4, 2)), requires_grad=True)
+
+        def forward(tape):
+            h = matmul(x, w, tape)
+            y = gelu(h, tape)
+            return [h, y], sum_all(mul(y, y, tape), tape)
+
+        tape = Tape()
+        intermediates, loss = forward(tape)
+        backward(tape, loss)
+        assert len(tape) == 4  # backward leaves the tape itself intact
+        assert all(t.grad is None for t in intermediates + [loss])
+        for p in (x, w):
+            numeric = numeric_grad(lambda: forward(None)[1].data.item(), p.data)
+            assert_grads_close(p.grad, numeric, rel=1e-4, floor=1e-7, label="leaf")
+
+    def test_add_operand_grads_do_not_alias(self):
+        # add hands both operands views of one gradient; later contributions
+        # to either operand must not reach the other
+        a = Tensor(rng(26).normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng(27).normal(size=(2, 3)), requires_grad=True)
+        c1, c2, c3 = (Tensor(rng(s).normal(size=(2, 3))) for s in (28, 29, 30))
+        tape = Tape()
+        u = mul(a, c1, tape)
+        v = mul(b, c2, tape)
+        y = add(a, b, tape)
+        loss = sum_all(add(add(u, v, tape), mul(y, c3, tape), tape), tape)
+        backward(tape, loss)
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_allclose(a.grad, c1.data + c3.data, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(b.grad, c2.data + c3.data, rtol=0, atol=1e-15)
 
     def test_leaf_grads_accumulate_across_tapes(self):
         # per-batch usage: fresh tape per forward, leaf grads sum until zeroed
