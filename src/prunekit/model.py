@@ -292,19 +292,19 @@ def encoder_forward(model: Model, token_ids: np.ndarray,
             embedding_lookup(model.position_embedding, np.arange(n), tape), tape)
     for l, layer in enumerate(model.layers):
         att, H = layer.heads, len(layer.heads)
-        q = split_heads(add(matmul_t(x, att.wq, tape), att.bq, tape), dh, tape)
-        k = split_heads(add(matmul_t(x, att.wk, tape), att.bk, tape), dh, tape)
-        v = split_heads(add(matmul_t(x, att.wv, tape), att.bv, tape), dh, tape)
+        q = split_heads(matmul_t(x, att.wq, tape, bias=att.bq), dh, tape)
+        k = split_heads(matmul_t(x, att.wk, tape, bias=att.bk), dh, tape)
+        v = split_heads(matmul_t(x, att.wv, tape, bias=att.bv), dh, tape)
         probs = softmax_rows(scale(matmul_t(q, k, tape), inv_sqrt_d, tape), tape)
         ctx = mul(matmul(probs, v, tape), stack(head_gates[l], (H, 1, 1), tape), tape)
         att_out = add(matmul(merge_heads(ctx, tape), att.wo, tape),
                       matmul(stack(head_gates[l], (1, H), tape), att.bo, tape), tape)
         x = layer_norm(add(x, att_out, tape), layer.ln1_gain, layer.ln1_bias, tape)
 
-        hidden = gelu(add(matmul(x, layer.w1, tape), layer.b1, tape), tape)
+        hidden = gelu(matmul(x, layer.w1, tape, bias=layer.b1), tape)
         if ffn_gates is not None:
             hidden = mul(hidden, ffn_gates[l], tape)
-        ffn_out = add(matmul(hidden, layer.w2, tape), layer.b2, tape)
+        ffn_out = matmul(hidden, layer.w2, tape, bias=layer.b2)
         x = layer_norm(add(x, ffn_out, tape), layer.ln2_gain, layer.ln2_bias, tape)
     return x
 
@@ -316,7 +316,7 @@ def task_forward(model: Model, token_ids: np.ndarray,
     """Classifier logits (batch, num_labels) read from position 0."""
     hidden = encoder_forward(model, token_ids, head_gates, ffn_gates, tape)
     first = select_first(hidden, tape)
-    return add(matmul(first, model.classifier_w, tape), model.classifier_b, tape)
+    return matmul(first, model.classifier_w, tape, bias=model.classifier_b)
 
 
 def lm_forward(model: Model, token_ids: np.ndarray, tape: Tape | None = None) -> Tensor:
@@ -325,7 +325,7 @@ def lm_forward(model: Model, token_ids: np.ndarray, tape: Tape | None = None) ->
         raise ContractError("model has no LM head")
     hidden = encoder_forward(model, token_ids, tape=tape)
     table = model.embedding if model.config.lm_head_tied else model.lm_head
-    return add(matmul_t(hidden, table, tape), model.lm_bias, tape)
+    return matmul_t(hidden, table, tape, bias=model.lm_bias)
 
 
 def _check_unit_indices(indices, width: int, what: str) -> list[int]:

@@ -8,6 +8,23 @@ accumulates gradients additively into Tensor.grad. Once an op's closure
 has run, its output's gradient is released, so after backward only the
 leaves (tensors no op produced) hold gradients. The caller resets leaf
 grads (grad = None) between backward passes.
+
+Gradients are handed over, not copied. Every array an op's backward passes
+to _accumulate belongs to no other object: _accumulate stores the first one
+as it is and adds later ones into it in place. Most ops pass fresh products
+(matmul, mul, scale, gelu, ...) or views of their own output gradient g,
+which nothing else reads once the closure has run. Three ops copy, because
+what they would pass on is also held elsewhere or is not a plain C-ordered
+array: add, when both operands would receive the same unreduced g; sum_all,
+whose broadcast_to is a read-only view; and merge_heads, whose transposed
+view is made C-ordered so downstream matmuls see the same layout, and so
+round the same, as the copying version did.
+
+Forward and backward chains write with out= and in-place operators only
+into arrays the op has just created, never into an input, a gradient it
+was given, or an array a recorded closure still reads. Each expression
+keeps its operands and order (a*b and b*a round alike), so results are bit
+for bit those of the plain textbook expressions.
 """
 
 from __future__ import annotations
@@ -89,12 +106,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad; g must belong to no other object (see the module docstring)."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # copy: g may be a view that another gradient shares (add hands one
-        # buffer to both operands), and this grad is later added into in place
-        t.grad = np.array(g, dtype=np.float64, order="C").reshape(t.shape)
+        # asarray: 0-d ops (scale, stack) hand over NumPy scalars
+        t.grad = np.asarray(g).reshape(t.shape)
     else:
         t.grad += g
 
@@ -140,38 +157,57 @@ def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x @ w
 
 
-def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """a @ b: a of rank 2-4 against a shared 2D b or a b batched like a."""
+def _affine(op: str, product: np.ndarray, a: Tensor, b: Tensor, bias: Tensor | None,
+            tape: Tape | None, grad_a, grad_b) -> Tensor:
+    """Record product (+ bias, added in place) with the given operand gradients."""
+    if bias is not None:
+        try:
+            product += bias.data
+        except ValueError as exc:
+            raise ShapeError(f"{op} bias shape {bias.shape} does not fit output "
+                             f"{product.shape}") from exc
+
+    def fn(g: np.ndarray) -> None:
+        if a.requires_grad:
+            _accumulate(a, grad_a(g))
+        if b.requires_grad:
+            _accumulate(b, grad_b(g))
+        # last: an unreduced bias gradient is g itself
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, _reduce_to(g, bias.shape))
+
+    inputs = (a, b) if bias is None else (a, b, bias)
+    return _record(tape, Tensor(product), inputs, fn)
+
+
+def matmul(a: Tensor, b: Tensor, tape: Tape | None = None, *,
+           bias: Tensor | None = None) -> Tensor:
+    """a @ b (+ bias): a of rank 2-4 against a shared 2D b or a b batched like a."""
     ad, bd = a.data, b.data
     _check_matmul("matmul", ad, bd, -2)
 
-    def fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _mm(g, np.swapaxes(bd, -1, -2)))
-        if b.requires_grad:
-            if bd.ndim < ad.ndim:
-                _accumulate(b, _rows(ad).T @ _rows(g))
-            else:
-                _accumulate(b, np.swapaxes(ad, -1, -2) @ g)
+    def grad_b(g: np.ndarray) -> np.ndarray:
+        if bd.ndim < ad.ndim:
+            return _rows(ad).T @ _rows(g)
+        return np.swapaxes(ad, -1, -2) @ g
 
-    return _record(tape, Tensor(_mm(ad, bd)), (a, b), fn)
+    return _affine("matmul", _mm(ad, bd), a, b, bias, tape,
+                   lambda g: _mm(g, np.swapaxes(bd, -1, -2)), grad_b)
 
 
-def matmul_t(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """a @ b^T where b is transposed over its last two axes; ranks as in matmul."""
+def matmul_t(a: Tensor, b: Tensor, tape: Tape | None = None, *,
+             bias: Tensor | None = None) -> Tensor:
+    """a @ b^T (+ bias) where b is transposed over its last two axes; ranks as in matmul."""
     ad, bd = a.data, b.data
     _check_matmul("matmul_t", ad, bd, -1)
 
-    def fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _mm(g, bd))
-        if b.requires_grad:
-            if bd.ndim < ad.ndim:
-                _accumulate(b, _rows(g).T @ _rows(ad))
-            else:
-                _accumulate(b, np.swapaxes(g, -1, -2) @ ad)
+    def grad_b(g: np.ndarray) -> np.ndarray:
+        if bd.ndim < ad.ndim:
+            return _rows(g).T @ _rows(ad)
+        return np.swapaxes(g, -1, -2) @ ad
 
-    return _record(tape, Tensor(_mm(ad, np.swapaxes(bd, -1, -2))), (a, b), fn)
+    return _affine("matmul_t", _mm(ad, np.swapaxes(bd, -1, -2)), a, b, bias, tape,
+                   lambda g: _mm(g, bd), grad_b)
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
@@ -185,7 +221,9 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _reduce_to(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, _reduce_to(g, b.shape))
+            gb = _reduce_to(g, b.shape)
+            # unreduced, both operands would receive g itself: b gets a copy
+            _accumulate(b, gb.copy() if a.requires_grad and a.size == b.size == g.size else gb)
 
     return _record(tape, out, (a, b), fn)
 
@@ -221,7 +259,10 @@ def softmax_rows(x: Tensor, tape: Tape | None = None) -> Tensor:
 
     def fn(g: np.ndarray) -> None:
         # dx = y * (g - sum(g * y)) along the softmax axis
-        _accumulate(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        dx = np.multiply(g, y, out=np.empty_like(y))
+        np.subtract(g, dx.sum(axis=-1, keepdims=True), out=dx)
+        dx *= y
+        _accumulate(x, dx)
 
     return _record(tape, Tensor(y), (x,), fn)
 
@@ -239,9 +280,11 @@ def log_softmax_rows(x: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def _softmax_np(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # empty_like: at 0-d, x - max would be a NumPy scalar, which out= cannot take
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=np.empty_like(x))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _log_softmax_np(x: np.ndarray) -> np.ndarray:
@@ -252,11 +295,22 @@ def _log_softmax_np(x: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Exact GeLU x * Phi(x) with Phi the standard normal CDF via erf."""
     xd = x.data
-    phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    # phi = 0.5 * (1 + erf(x / sqrt 2)); empty_like, as at _softmax_np
+    phi = np.multiply(xd, _INV_SQRT2, out=np.empty_like(xd))
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
 
     def fn(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        _accumulate(x, g * (phi + xd * pdf))
+        # dx = g * (phi + x * pdf) with pdf = exp(-x*x/2) / sqrt(2 pi)
+        dx = np.multiply(xd, -0.5, out=np.empty_like(xd))
+        dx *= xd
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT_2PI
+        dx *= xd
+        dx += phi
+        dx *= g
+        _accumulate(x, dx)
 
     return _record(tape, Tensor(xd * phi), (x,), fn)
 
@@ -264,28 +318,37 @@ def gelu(x: Tensor, tape: Tape | None = None) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                tape: Tape | None = None, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
+    if x.data.ndim == 0:
+        raise ShapeError("layer_norm needs an axis to normalize, got a 0-d input")
     d = x.data.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match width {d}")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat = xd - xd.mean(axis=-1, keepdims=True)
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def fn(g: np.ndarray) -> None:
         if x.requires_grad:
-            dxhat = g * gain.data
-            # population-variance layer norm backward
-            _accumulate(x, inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+            # population-variance layer norm backward:
+            # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gain
+            dx = g * gain.data
+            t = dx * xhat
+            m = t.mean(axis=-1, keepdims=True)
+            dx -= dx.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, m, out=t)
+            dx -= t
+            dx *= inv
+            _accumulate(x, dx)
         if gain.requires_grad:
             _accumulate(gain, _reduce_to(g * xhat, gain.shape))
         if bias.requires_grad:
             _accumulate(bias, _reduce_to(g, bias.shape))
 
-    return _record(tape, Tensor(xhat * gain.data + bias.data), (x, gain, bias), fn)
+    return _record(tape, Tensor(out), (x, gain, bias), fn)
 
 
 def embedding_lookup(weight: Tensor, ids: np.ndarray, tape: Tape | None = None) -> Tensor:
@@ -344,10 +407,10 @@ def merge_heads(x: Tensor, tape: Tape | None = None) -> Tensor:
     b, heads, n, width = x.shape
     out = Tensor(x.data.transpose(0, 2, 1, 3).reshape(b, n, heads * width))
     return _record(tape, out, (x,), lambda g: _accumulate(
-        x, g.reshape(b, n, heads, width).transpose(0, 2, 1, 3)))
+        x, np.ascontiguousarray(g.reshape(b, n, heads, width).transpose(0, 2, 1, 3))))
 
 
 def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Sum every element down to a scalar tensor."""
     return _record(tape, Tensor(x.data.sum()), (x,),
-                   lambda g: _accumulate(x, np.broadcast_to(g, x.shape)))
+                   lambda g: _accumulate(x, np.broadcast_to(g, x.shape).copy()))

@@ -21,7 +21,8 @@ from prunekit.model import (ModelConfig, build_gates, count_parameters,
                             count_parameters_from_config, encoder_forward, lm_forward,
                             named_tensors, remove_ffn_neurons, remove_heads,
                             remove_vocab_rows, task_forward)
-from prunekit.tensor import Tape, backward, sum_all
+from prunekit import tensor
+from prunekit.tensor import Tape, Tensor, backward, mul, sum_all
 
 
 def ids_batch(vocab, rows=2, n=8, seed=0):
@@ -133,6 +134,80 @@ class TestForward:
         short[0] = Tensor(np.ones(3))
         with pytest.raises(ShapeError):
             encoder_forward(model, ids, head_gates, short)
+
+
+def _taped_task_loss(model, ids, tape):
+    """Gates that require grad, and a loss every logit reaches."""
+    head_gates, ffn_gates = build_gates(model, requires_grad=True)
+    logits = task_forward(model, ids, head_gates, ffn_gates, tape)
+    w = Tensor(np.random.default_rng(7).normal(size=logits.shape))
+    return head_gates + [ffn_gates], sum_all(mul(logits, w, tape), tape)
+
+
+class TestCopyFreeBackward:
+    def test_forward_leaves_inputs_untouched(self):
+        model, vocab, _ = toy()
+        ids = ids_batch(vocab, rows=3, n=9)
+        before = [t.data.tobytes() for _, t in named_tensors(model)] + [ids.tobytes()]
+        task_forward(model, ids)
+        tape = Tape()
+        _, loss = _taped_task_loss(model, ids, tape)
+        backward(tape, loss)
+        after = [t.data.tobytes() for _, t in named_tensors(model)] + [ids.tobytes()]
+        assert after == before
+
+    def test_gradients_are_owned(self, monkeypatch):
+        # every array _accumulate stores is writeable, C-ordered, and shares
+        # memory with no other live gradient except the output gradient of
+        # the op handing it over (which backward releases right after)
+        model, vocab, _ = toy()
+        tape = Tape()
+        gates, loss = _taped_task_loss(model, ids_batch(vocab, rows=3, n=9), tape)
+        tensors = {id(t): t for rec in tape._records for t in (rec.out, *rec.inputs)}
+        running = [None]
+        for i, rec in enumerate(tape._records):
+            def fn(g, rec=rec):
+                running[0] = rec.out
+                rec.fn(g)
+            tape._records[i] = rec._replace(fn=fn)
+        accumulate, stored = tensor._accumulate, []
+
+        def checked(t, g):
+            fresh = t.grad is None
+            accumulate(t, g)
+            if not fresh or t.grad is None:
+                return
+            stored.append(t)
+            assert t.grad.flags.writeable and t.grad.flags.c_contiguous
+            for other in tensors.values():
+                if other is not t and other is not running[0] and other.grad is not None:
+                    assert not np.shares_memory(t.grad, other.grad), (t, other)
+
+        monkeypatch.setattr(tensor, "_accumulate", checked)
+        backward(tape, loss)
+        assert len(stored) > len(tape)
+        leaves = [t for _, t in named_tensors(model)] + [g for layer in gates for g in layer]
+        grads = [t.grad for t in leaves]
+        assert all(g is not None and g.flags.writeable for g in grads)
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, h) for h in grads[i + 1:])
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_scoring_tape_record_count(self, layers):
+        # gates require grad, weights are frozen. Layer 0 records 15 ops: its
+        # input needs no gradient, so its Q/K/V projections and attention core
+        # are not recorded. Every later layer records 25: 3 projections, 3
+        # splits, scores, scale, softmax, context, then the 15. The head adds
+        # select_first and the classifier. Each bias is part of its matmul's
+        # record; recorded as separate adds they cost 5 records per layer (2 in
+        # layer 0) and 1 for the classifier.
+        model, vocab, _ = toy(num_layers=layers)
+        for _, t in named_tensors(model):
+            t.requires_grad = False
+        head_gates, ffn_gates = build_gates(model, requires_grad=True)
+        tape = Tape()
+        task_forward(model, ids_batch(vocab), head_gates, ffn_gates, tape)
+        assert len(tape) == 15 + 25 * (layers - 1) + 2
 
 
 class TestSurgery:

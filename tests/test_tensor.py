@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from conftest import assert_grads_close, numeric_grad
 from prunekit.errors import ContractError, NumericError, ShapeError
@@ -398,3 +399,113 @@ class TestBackward:
         for p in (a, b):
             numeric = numeric_grad(lambda: forward(None).data.item(), p.data)
             assert_grads_close(p.grad, numeric)
+
+
+# The ops below compute in place; each must round exactly like its textbook
+# expression, written here the plain way, one temporary per operator.
+_C1, _C2 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _gelu_textbook(x, g):
+    phi = 0.5 * (1.0 + erf(x * _C1))
+    return x * phi, g * (phi + x * (np.exp(-0.5 * x * x) * _C2))
+
+
+def _layer_norm_textbook(x, gain, bias, g, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gain + bias, dx
+
+
+def _softmax_textbook(x, g):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def _op_and_grad(op, x, g):
+    """Forward output and d(sum(op(x) * g))/dx; mul hands op exactly g (1.0 * g)."""
+    tape = Tape()
+    y = op(x, tape)
+    backward(tape, sum_all(mul(y, Tensor(g), tape), tape))
+    return y.data, x.grad
+
+
+def _elementwise_case(name, shape, r):
+    """(op, textbook) for one in-place elementwise op at one input shape."""
+    if name == "gelu":
+        return gelu, _gelu_textbook
+    if name == "softmax_rows":
+        return softmax_rows, _softmax_textbook
+    gain, bias = r.normal(size=shape[-1:]), r.normal(size=shape[-1:])
+    return (lambda x, tape: layer_norm(x, Tensor(gain), Tensor(bias), tape),
+            lambda x, g: _layer_norm_textbook(x, gain, bias, g))
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3, 6)], ids=["0d", "1d", "3d"])
+    @pytest.mark.parametrize("name", ["gelu", "layer_norm", "softmax_rows"])
+    def test_elementwise_ops_match_textbook(self, name, shape):
+        r = rng(40)
+        xd, g = r.normal(size=shape) * 3.0, r.normal(size=shape)
+        op, textbook = _elementwise_case(name, shape, r)
+        if name == "layer_norm" and not shape:
+            with pytest.raises(ShapeError):  # no axis to normalize
+                op(Tensor(xd), None)
+            return
+        want = textbook(xd, g)
+        got = _op_and_grad(op, Tensor(xd, requires_grad=True), g)
+        for w, h in zip(want, got):
+            assert np.asarray(w).tobytes() == h.tobytes()
+
+    @pytest.mark.parametrize("op,a_shape,b_shape,bias_shape", [
+        (matmul, (3, 4), (4, 5), (5,)),
+        (matmul, (2, 3, 4), (4, 5), (5,)),
+        (matmul, (2, 3, 4), (2, 4, 5), (3, 5)),
+        (matmul, (2, 3, 4, 5), (2, 3, 5, 6), (3, 1, 6)),
+        (matmul_t, (3, 4), (5, 4), (5,)),
+        (matmul_t, (2, 3, 4), (5, 4), (5,)),
+        (matmul_t, (2, 3, 4), (2, 5, 4), (2, 3, 5)),
+        (matmul_t, (2, 3, 4, 5), (2, 3, 6, 5), (6,)),
+    ])
+    def test_bias_folded_into_matmul(self, op, a_shape, b_shape, bias_shape):
+        r = rng(41)
+        arrays = [r.normal(size=s) for s in (a_shape, b_shape, bias_shape)]
+        untaped = op(*(Tensor(x) for x in arrays[:2]), bias=Tensor(arrays[2])).data
+        w = Tensor(r.normal(size=untaped.shape))
+
+        def run(fused):
+            a, b, bias = (Tensor(x, requires_grad=True) for x in arrays)
+            tape = Tape()
+            y = op(a, b, tape, bias=bias) if fused else add(op(a, b, tape), bias, tape)
+            backward(tape, sum_all(mul(y, w, tape), tape))
+            return [y.data] + [t.grad for t in (a, b, bias)]
+
+        composed, fused = run(False), run(True)
+        assert untaped.tobytes() == composed[0].tobytes()
+        for want, got in zip(composed, fused):
+            assert want.tobytes() == got.tobytes()
+
+        # the bias gradient against finite differences
+        bias = Tensor(arrays[2], requires_grad=True)
+        a, b = Tensor(arrays[0]), Tensor(arrays[1])
+
+        def loss(tape):
+            return sum_all(mul(op(a, b, tape, bias=bias), w, tape), tape)
+
+        tape = Tape()
+        backward(tape, loss(tape))
+        assert len(tape) == 3  # matmul+bias, mul, sum_all: no separate add
+        numeric = numeric_grad(lambda: loss(None).data.item(), bias.data)
+        assert_grads_close(bias.grad, numeric, rel=1e-4, floor=1e-7, label="bias")
+
+    def test_bias_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), bias=Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):  # would broadcast the output to (2, 2, 4)
+            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
+                   bias=Tensor(np.zeros((2, 1, 4))))
