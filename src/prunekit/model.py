@@ -30,7 +30,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -182,31 +182,58 @@ def checkpoint_views(model: Model) -> Iterator[tuple[str, np.ndarray]]:
                 yield f"{name}.{h}.{f}", data[h] if f == "bo" else data[h * dh:(h + 1) * dh]
 
 
-def expected_tensor_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Canonical (name, shape) list defining storage order for checkpoints."""
-    return [(name, view.shape) for name, view in checkpoint_views(empty_model(cfg))]
-
-
-def empty_model(cfg: ModelConfig, requires_grad: bool = True) -> Model:
-    """A model of the config's shapes whose weights are not yet initialised."""
+def _part_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...] | dict[str, tuple[int, ...]]]]:
+    """_parts for a config: each stored part's shape, attention as {field: stacked shape}."""
     d, dh = cfg.hidden_size, cfg.head_size
-
-    def t(*shape: int) -> Tensor:
-        return Tensor(np.empty(shape), requires_grad=requires_grad)
-
-    layers = []
-    for H, f in zip(cfg.num_heads, cfg.ffn_size):
+    yield "embedding", (cfg.vocab_size, d)
+    yield "position_embedding", (cfg.max_seq_len, d)
+    for l, (H, f) in enumerate(zip(cfg.num_heads, cfg.ffn_size)):
         w, b = (H * dh, d), (H * dh,)
-        heads = Attention(wq=t(*w), bq=t(*b), wk=t(*w), bk=t(*b), wv=t(*w), bv=t(*b),
-                          wo=t(*w), bo=t(H, d))
-        layers.append(EncoderLayer(heads, w1=t(d, f), b1=t(f), w2=t(f, d), b2=t(d),
-                                   ln1_gain=t(d), ln1_bias=t(d), ln2_gain=t(d), ln2_bias=t(d)))
-    lm = cfg.has_lm_head
-    return Model(config=cfg, embedding=t(cfg.vocab_size, d),
-                 position_embedding=t(cfg.max_seq_len, d), layers=layers,
-                 classifier_w=t(d, cfg.num_labels), classifier_b=t(cfg.num_labels),
-                 lm_head=t(cfg.lm_vocab_size, d) if lm and not cfg.lm_head_tied else None,
-                 lm_bias=t(cfg.lm_vocab_size) if lm else None)
+        yield f"layers.{l}.heads", dict(zip(_HEAD_FIELDS, (w, b, w, b, w, b, w, (H, d))))
+        for (suffix, _), shape in zip(_LAYER_TENSORS, ((d, f), (f,), (f, d), (d,), (d,), (d,), (d,), (d,))):
+            yield f"layers.{l}.{suffix}", shape
+    yield "classifier.weight", (d, cfg.num_labels)
+    yield "classifier.bias", (cfg.num_labels,)
+    if cfg.has_lm_head:
+        if not cfg.lm_head_tied:
+            yield "lm_head.weight", (cfg.lm_vocab_size, d)
+        yield "lm_head.bias", (cfg.lm_vocab_size,)
+
+
+def expected_tensor_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Canonical (name, shape) list defining storage order for checkpoints; allocates nothing."""
+    out = []
+    for name, shape in _part_shapes(cfg):
+        if isinstance(shape, tuple):
+            out.append((name, shape))
+        else:  # one head's slice of each stacked field, as checkpoint_views cuts it
+            out += [(f"{name}.{h}.{f}", s[1:] if f == "bo" else (cfg.head_size,) + s[1:])
+                    for h in range(shape["bo"][0]) for f, s in shape.items()]
+    return out
+
+
+def empty_model(cfg: ModelConfig, requires_grad: bool = True,
+                stored: Mapping[str, np.ndarray] = {}) -> Model:
+    """A model of the config's shapes whose weights are not yet initialised.
+
+    A part named in `stored` (a non-attention checkpoint name, or
+    layers.{l}.heads.{field} for a stacked attention field) wraps that
+    array, of that shape, without a copy; the rest are allocated empty.
+    """
+    def t(name: str, shape: tuple[int, ...]) -> Tensor:
+        return Tensor(stored[name] if name in stored else np.empty(shape),
+                      requires_grad=requires_grad)
+
+    parts = {name: Attention(**{f: t(f"{name}.{f}", s) for f, s in shape.items()})
+             if isinstance(shape, dict) else t(name, shape)
+             for name, shape in _part_shapes(cfg)}
+    layers = [EncoderLayer(parts[f"layers.{l}.heads"],
+                           **{attr: parts[f"layers.{l}.{suffix}"] for suffix, attr in _LAYER_TENSORS})
+              for l in range(cfg.num_layers)]
+    return Model(config=cfg, embedding=parts["embedding"],
+                 position_embedding=parts["position_embedding"], layers=layers,
+                 classifier_w=parts["classifier.weight"], classifier_b=parts["classifier.bias"],
+                 lm_head=parts.get("lm_head.weight"), lm_bias=parts.get("lm_head.bias"))
 
 
 def assemble_model(cfg: ModelConfig, arrays: dict[str, np.ndarray],
